@@ -1,10 +1,11 @@
 /**
  * @file
- * Executor micro-bench — wall-clock time of `runWithElision` under the
- * three execution policies on `12cities` and `votes` (4 chains). The
- * phased barrier executor must produce the identical stop draw under
- * every policy; the interesting number is the wall-time ratio, which
- * approaches the chain count on a machine with that many idle cores.
+ * Executor micro-bench — wall-clock time of `runWithElision` under
+ * sequential, pool(chains) and the hardware-wide pool on `12cities`
+ * and `votes` (4 chains). The phased barrier executor must produce the
+ * identical stop draw under every policy; the interesting number is the
+ * wall-time ratio, which approaches the chain count on a machine with
+ * that many idle cores.
  */
 #include "common.hpp"
 #include "elide/elision.hpp"
@@ -59,8 +60,8 @@ main()
 
         const auto seq = timedElision(
             *wl, cfg, samplers::ExecutionPolicy::sequential());
-        const auto tpc = timedElision(
-            *wl, cfg, samplers::ExecutionPolicy::threadPerChain());
+        const auto perChain = timedElision(
+            *wl, cfg, samplers::ExecutionPolicy::pool(cfg.chains));
         const auto pool =
             timedElision(*wl, cfg, samplers::ExecutionPolicy::pool());
 
@@ -74,11 +75,11 @@ main()
                 .cell(m.result.converged ? "yes" : "no");
         };
         emit("sequential", seq);
-        emit("thread-per-chain", tpc);
+        emit("pool(chains)", perChain);
         emit("pool", pool);
 
         // The whole point of the phased executor: identical decisions.
-        if (tpc.result.stoppedAtDraw != seq.result.stoppedAtDraw
+        if (perChain.result.stoppedAtDraw != seq.result.stoppedAtDraw
             || pool.result.stoppedAtDraw != seq.result.stoppedAtDraw) {
             std::fprintf(stderr,
                          "ERROR: stop draw differs across policies\n");
@@ -193,82 +194,6 @@ main()
             "Batched pooled evaluation — wall time and shared-data bytes "
             "per gradient eval vs chain count (HMC on `ad`, pool policy)",
             batchTable);
-    }
-
-    // Speculative prefetching: the pooled batched MH run per
-    // speculation depth. Draws must stay byte-identical to depth 0
-    // (checked here, gated in `ctest -L determinism`); the reported
-    // numbers are the speculation counters and wall time. At depth d
-    // the MH tree issues 2^(d+1)-2 lanes per replanning round and the
-    // realized branch is always among them, so the *number of rounds
-    // served from cache* climbs with depth while the per-lane hit
-    // rate (hits/issued) falls geometrically with the tree size — the
-    // classic speculation coverage/waste trade. On a single-core host
-    // the wall-time column is
-    // informational: speculation spends the idle lanes a wide machine
-    // would have wasted, which serializes here.
-    {
-        const auto wl = workloads::makeWorkload("ad");
-        auto cfg = bench::userConfig(*wl);
-        cfg.algorithm = samplers::Algorithm::Mh;
-        cfg.chains = 4;
-        cfg.execution = samplers::ExecutionPolicy::pool();
-        cfg.batchEval = true;
-
-        Table specTable({"depth", "wall(s)", "issued", "hits", "wasted",
-                         "hit rate"});
-        std::vector<std::vector<double>> depthZeroDraws;
-        for (const int depth : {0, 1, 2, 3}) {
-            cfg.speculationDepth = depth;
-            std::fprintf(stderr,
-                         "[bench] speculation: pooled batched MH depth "
-                         "%d...\n",
-                         depth);
-            auto& reg = obs::Registry::global();
-            const auto issued0 = reg.counter("spec.issued").value();
-            const auto hits0 = reg.counter("spec.hits").value();
-            const auto wasted0 = reg.counter("spec.wasted").value();
-            Timer timer;
-            const auto result = samplers::run(*wl, cfg);
-            const double seconds = timer.seconds();
-            const auto issued = reg.counter("spec.issued").value() - issued0;
-            const auto hits = reg.counter("spec.hits").value() - hits0;
-            const auto wasted = reg.counter("spec.wasted").value() - wasted0;
-
-            if (depth == 0)
-                depthZeroDraws = result.chains[0].draws;
-            else if (result.chains[0].draws != depthZeroDraws) {
-                std::fprintf(stderr,
-                             "ERROR: depth %d draws differ from depth 0\n",
-                             depth);
-                return 1;
-            }
-            if (hits + wasted != issued) {
-                std::fprintf(stderr,
-                             "ERROR: speculation accounting broken: "
-                             "%llu + %llu != %llu\n",
-                             static_cast<unsigned long long>(hits),
-                             static_cast<unsigned long long>(wasted),
-                             static_cast<unsigned long long>(issued));
-                return 1;
-            }
-
-            specTable.row()
-                .cell(static_cast<long>(depth))
-                .cell(seconds, 2)
-                .cell(static_cast<long>(issued))
-                .cell(static_cast<long>(hits))
-                .cell(static_cast<long>(wasted))
-                .cell(issued ? static_cast<double>(hits)
-                                   / static_cast<double>(issued)
-                             : 0.0,
-                      3);
-        }
-        printSection(
-            "Speculative prefetching — pooled batched MH (`ad`, 4 "
-            "chains) per speculation depth; draws byte-identical to "
-            "depth 0 at every row",
-            specTable);
     }
 
     bench::writeRunReport("micro_executor");

@@ -92,8 +92,8 @@ main()
     samplers::Config nuts;
     nuts.chains = 4;
     nuts.iterations = 2000;
-    // One dedicated thread per chain for this run (MH below inherits it).
-    nuts.execution = samplers::ExecutionPolicy::threadPerChain();
+    // One pool worker per chain (MH below inherits it).
+    nuts.execution = samplers::ExecutionPolicy::pool(nuts.chains);
     std::printf("Sampling eight schools with NUTS...\n");
     report("NUTS (4 x 2000)", samplers::run(model, nuts), model.layout());
 

@@ -79,7 +79,7 @@ struct ElisionResult
  * run stops early at detection. Elision composes with parallelism:
  * `config.execution` selects the schedule, and the phased barrier
  * executor guarantees the same draws and the same stop iteration under
- * Sequential, ThreadPerChain and Pool.
+ * Sequential and Pool.
  */
 ElisionResult runWithElision(const ppl::Model& model,
                              const samplers::Config& config,

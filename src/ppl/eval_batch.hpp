@@ -90,12 +90,11 @@ class EvalBatch
 
     /**
      * Pack a round: reshape to D×points.size() and scatter each
-     * pointed-to vector into its lane, in order. The batched phased
-     * executor uses this to assemble heterogeneous rounds — the
-     * chains' mandatory pending points followed by speculative
-     * prefetch lanes — into one shared-data pass; lane results are
-     * bit-equal to single evaluations regardless of which lanes ride
-     * along (the speculation soundness premise, see test_eval_batch).
+     * pointed-to vector into its lane, in order. The batched executor
+     * uses this to gather the chains' pending points into one
+     * shared-data pass; lane results are bit-equal to single
+     * evaluations regardless of which lanes ride along (see
+     * test_eval_batch).
      */
     void
     assignPoints(std::size_t dim,

@@ -19,21 +19,6 @@ HmcSampler::transition(PhasePoint& z, Rng& rng)
     return finish(z, ph, rng);
 }
 
-void
-HmcSampler::speculateRejectBranch(const PhasePoint& z, Rng replica,
-                                  std::vector<double>& point) const
-{
-    // Replay the chain's future stream: finish() consumes one accept
-    // uniform (unconditionally), then the next begin() refreshes the
-    // momentum. On the reject branch q, grad, and logProb are exactly
-    // z's, so the first half-kick + drift is fully determined.
-    replica.uniform();
-    PhasePoint trial = z;
-    ham_->sampleMomentum(replica, trial);
-    ham_->leapfrogBegin(trial, stepSize_);
-    point = std::move(trial.q);
-}
-
 HmcTransition
 HmcSampler::finish(PhasePoint& z, HmcPhase& ph, Rng& rng)
 {

@@ -103,20 +103,6 @@ class HmcSampler
     /** Accept/reject the finished trajectory (updates @p z on accept). */
     HmcTransition finish(PhasePoint& z, HmcPhase& ph, Rng& rng);
 
-    /**
-     * Fork-point API for predictive prefetching: predict the first
-     * pending leapfrog position of the *next* transition under the
-     * reject branch (state @p z unchanged). @p replica must be the
-     * chain RNG's replicaFork() taken after begin() — the prediction
-     * replays finish()'s accept uniform and the next momentum refresh
-     * on it, then applies the same half-kick + drift the real reject
-     * branch would, so the point byte-matches on a rejection. (The
-     * accept branch is not predictable ahead of the batch: its start
-     * state is the trajectory endpoint still being integrated.)
-     */
-    void speculateRejectBranch(const PhasePoint& z, Rng replica,
-                               std::vector<double>& point) const;
-
   private:
     Hamiltonian* ham_;
     int steps_;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "ppl/evaluator.hpp"
-#include "samplers/prefetch.hpp"
 #include "support/rng.hpp"
 
 namespace bayes::samplers {
@@ -66,19 +65,6 @@ class MhSampler
     MhTransition finish(std::vector<double>& q, double& logProb,
                         std::vector<double>& proposal,
                         double proposalLogProb, Rng& rng);
-
-    /**
-     * Fork-point API for predictive prefetching: pre-generate the
-     * depth-@p depth accept/reject proposal tree below @p pending
-     * (the proposal just drawn from @p q) into @p ledger. @p replica
-     * must be the chain RNG's replicaFork() taken after propose() —
-     * the planner replays the chain's own future stream on it, so a
-     * realized branch byte-matches the real future proposal.
-     */
-    void speculate(const std::vector<double>& q,
-                   const std::vector<double>& pending, Rng replica,
-                   int depth, prefetch::Ledger& ledger,
-                   std::vector<prefetch::SpecLane>& lanes) const;
 
   private:
     ppl::Evaluator* eval_;

@@ -10,7 +10,6 @@
 #include "samplers/dual_averaging.hpp"
 #include "samplers/hmc.hpp"
 #include "samplers/mh.hpp"
-#include "samplers/prefetch.hpp"
 #include "samplers/nuts.hpp"
 #include "samplers/slice.hpp"
 #include "support/stats.hpp"
@@ -33,6 +32,8 @@ struct RunnerMetrics
         obs::Registry::global().counter("sampler.divergences");
     obs::Histogram& roundSeconds =
         obs::Registry::global().histogram("sampler.round_seconds");
+    obs::Gauge& dataPassesPerRound =
+        obs::Registry::global().gauge("eval.data_passes_per_round");
 
     static RunnerMetrics& get()
     {
@@ -118,7 +119,7 @@ class ChainState
         finishIteration(IterationStat{}, acceptStat, /*record=*/false);
     }
 
-    // -- Batched round protocol (HMC/MH under the phased executor) ----
+    // -- Batched round protocol (HMC/MH, see BatchedRound) -------------
     // Each round the executor opens every chain's transition, gathers
     // the pending points into one EvalBatch, and delivers the shared
     // evaluation back — the chain's RNG stream and floating-point
@@ -160,34 +161,6 @@ class ChainState
     {
         hmc_.applyEval(phase_, logProb, grad);
         ++extGradEvals_;
-    }
-
-    // -- Speculation fork points (samplers::prefetch) -----------------
-    // Called by the batched executor after mhBegin()/hmcBegin(): both
-    // hand a replicaFork() of the chain's stream — taken past the
-    // pending proposal's draws — to the kernel's speculation hook, so
-    // the candidate points are the bit-exact futures of this chain.
-
-    /** Issue the depth-d MH accept/reject tree below the pending
-        proposal into @p ledger. */
-    void
-    mhSpeculate(int depth, prefetch::Ledger& ledger,
-                std::vector<prefetch::SpecLane>& lanes)
-    {
-        mh_.speculate(z_.q, proposal_, rng_.replicaFork(), depth, ledger,
-                      lanes);
-    }
-
-    /** Issue the predicted reject-branch first position of the next
-        HMC iteration into @p ledger. */
-    void
-    hmcSpeculate(prefetch::Ledger& ledger,
-                 std::vector<prefetch::SpecLane>& lanes)
-    {
-        std::vector<double> point;
-        hmc_.speculateRejectBranch(z_, rng_.replicaFork(), point);
-        lanes.push_back(
-            prefetch::SpecLane{&ledger, ledger.issue(std::move(point))});
     }
 
     /** Close the HMC iteration (accept/reject) and record the draw. */
@@ -353,16 +326,141 @@ askMonitor(const IterationMonitor& monitor, int round, States& states,
     return action;
 }
 
-/** Lockstep schedule on the calling thread. */
-RunResult
-runSequential(States& states, int warmup, int sampling,
-              const IterationMonitor& monitor, const Timer& wall)
+/**
+ * Run @p fn on every chain and return once all have finished: inline on
+ * the calling thread without a pool (Sequential), else as one pool task
+ * per chain, whose futures are the barrier.
+ */
+template <typename Fn>
+void
+forEachChain(support::ThreadPool* pool, States& states, const Fn& fn)
 {
+    if (!pool) {
+        for (auto& chain : states)
+            fn(*chain);
+        return;
+    }
+    std::vector<std::future<void>> futures;
+    futures.reserve(states.size());
+    for (auto& chain : states)
+        futures.push_back(pool->submit([&fn, &chain] { fn(*chain); }));
+    support::waitAll(futures);
+}
+
+/** The whole warmup of one chain (no monitor fires during warmup). */
+void
+warmupChain(ChainState& chain, int warmup)
+{
+    obs::Span span("chain.warmup");
+    for (int t = 0; t < warmup; ++t)
+        chain.warmupIteration(t);
+}
+
+/**
+ * One batched HMC/MH round on the calling thread: gather every chain's
+ * pending point into one EvalBatch and evaluate them against the shared
+ * data in a single pass (HMC gathers once per leapfrog step, shrinking
+ * as trajectories finish early). Per-chain RNG streams are consumed in
+ * exactly the unbatched order, so draws are byte-identical to the
+ * sequential schedule — batching only changes who performs the
+ * evaluation, not what is evaluated.
+ */
+class BatchedRound
+{
+  public:
+    BatchedRound(const ppl::Model& model, States& states, Algorithm algo)
+        : sharedEval_(model), states_(states), algo_(algo)
+    {
+        lanes_.reserve(states.size());
+        pending_.reserve(states.size());
+    }
+
+    void
+    operator()()
+    {
+        std::uint64_t passes = 0;
+        if (algo_ == Algorithm::Mh) {
+            lanes_.clear();
+            for (auto& chain : states_) {
+                chain->mhBegin();
+                lanes_.push_back(&chain->pendingProposal());
+            }
+            batch_.assignPoints(sharedEval_.dim(), lanes_);
+            lp_.resize(lanes_.size());
+            sharedEval_.logProbBatch(batch_, lp_);
+            ++passes;
+            for (std::size_t c = 0; c < states_.size(); ++c)
+                states_[c]->mhFinish(lp_[c]);
+        } else {
+            for (auto& chain : states_)
+                chain->hmcBegin();
+            for (;;) {
+                pending_.clear();
+                lanes_.clear();
+                for (auto& chain : states_) {
+                    if (chain->hmcPrepare()) {
+                        pending_.push_back(chain.get());
+                        lanes_.push_back(&chain->pendingPosition());
+                    }
+                }
+                if (pending_.empty())
+                    break;
+                batch_.assignPoints(sharedEval_.dim(), lanes_);
+                lp_.resize(lanes_.size());
+                sharedEval_.logProbGradBatch(batch_, lp_, grads_);
+                ++passes;
+                for (std::size_t l = 0; l < pending_.size(); ++l) {
+                    grads_.getPoint(l, laneGrad_);
+                    pending_[l]->hmcApplyEval(lp_[l], laneGrad_);
+                }
+            }
+            for (auto& chain : states_)
+                chain->hmcFinish();
+        }
+        RunnerMetrics::get().dataPassesPerRound.set(
+            static_cast<double>(passes));
+    }
+
+  private:
+    ppl::Evaluator sharedEval_;
+    States& states_;
+    Algorithm algo_;
+    ppl::EvalBatch batch_;
+    ppl::EvalBatch grads_;
+    std::vector<double> lp_;
+    std::vector<double> laneGrad_;
+    std::vector<ChainState*> pending_;
+    std::vector<const std::vector<double>*> lanes_;
+};
+
+/**
+ * The one schedule. Unbatched and without a monitor, every chain
+ * free-runs its warmup and sampling as one unit. Otherwise every chain
+ * warms up, then the chains advance in barrier rounds — one iteration
+ * per chain per round, by forEachChain or by the @p batched round — and
+ * after each round the monitor decides on the calling thread while
+ * every chain is parked. Stopping only ends the loop, so delivered
+ * draws are a prefix of the full run's under every policy.
+ */
+RunResult
+runSchedule(support::ThreadPool* pool, States& states, int warmup,
+            int sampling, const IterationMonitor& monitor, const Timer& wall,
+            BatchedRound* batched = nullptr)
+{
+    if (!monitor && !batched) {
+        forEachChain(pool, states, [warmup, sampling](ChainState& chain) {
+            warmupChain(chain, warmup);
+            obs::Span span("chain.sample");
+            for (int t = 0; t < sampling; ++t)
+                chain.sampleIteration();
+        });
+        return collect(states);
+    }
     {
         obs::Span span("sampler.warmup");
-        for (int t = 0; t < warmup; ++t)
-            for (auto& chain : states)
-                chain->warmupIteration(t);
+        forEachChain(pool, states, [warmup](ChainState& chain) {
+            warmupChain(chain, warmup);
+        });
     }
 
     std::vector<ChainResult> view(states.size());
@@ -371,8 +469,13 @@ runSequential(States& states, int warmup, int sampling,
         Timer round;
         {
             obs::Span span("sampler.round");
-            for (auto& chain : states)
-                chain->sampleIteration();
+            if (batched)
+                (*batched)();
+            else
+                forEachChain(pool, states, [](ChainState& chain) {
+                    obs::Span chainSpan("chain.round");
+                    chain.sampleIteration();
+                });
         }
         if (!monitor)
             continue;
@@ -381,272 +484,6 @@ runSequential(States& states, int warmup, int sampling,
             == MonitorAction::Stop)
             break;
     }
-    return collect(states);
-}
-
-/** No monitor: every chain free-runs its whole schedule as one task. */
-RunResult
-runFreeRunning(support::ThreadPool& pool, States& states, int warmup,
-               int sampling)
-{
-    std::vector<std::future<void>> futures;
-    futures.reserve(states.size());
-    for (auto& chain : states) {
-        futures.push_back(pool.submit([&chain, warmup, sampling] {
-            {
-                obs::Span span("chain.warmup");
-                for (int t = 0; t < warmup; ++t)
-                    chain->warmupIteration(t);
-            }
-            obs::Span span("chain.sample");
-            for (int t = 0; t < sampling; ++t)
-                chain->sampleIteration();
-        }));
-    }
-    support::waitAll(futures);
-    return collect(states);
-}
-
-/**
- * Phased barrier schedule: chains advance one round in parallel, the
- * round's futures act as the barrier, the monitor decides on the
- * calling thread, and the decision is broadcast by either submitting
- * the next round or collecting. Warmup free-runs (no monitor fires
- * before the first post-warmup round).
- */
-RunResult
-runPhased(support::ThreadPool& pool, States& states, int warmup,
-          int sampling, const IterationMonitor& monitor, const Timer& wall)
-{
-    std::vector<std::future<void>> futures;
-    futures.reserve(states.size());
-    {
-        obs::Span span("sampler.warmup");
-        for (auto& chain : states) {
-            futures.push_back(pool.submit([&chain, warmup] {
-                obs::Span chainSpan("chain.warmup");
-                for (int t = 0; t < warmup; ++t)
-                    chain->warmupIteration(t);
-            }));
-        }
-        support::waitAll(futures);
-    }
-
-    std::vector<ChainResult> view(states.size());
-    std::vector<std::uint64_t> gradEvals(states.size());
-    for (int t = 0; t < sampling; ++t) {
-        Timer round;
-        {
-            obs::Span span("sampler.round");
-            for (auto& chain : states)
-                futures.push_back(pool.submit([&chain] {
-                    obs::Span chainSpan("chain.round");
-                    chain->sampleIteration();
-                }));
-            support::waitAll(futures); // the barrier
-        }
-        RunnerMetrics::get().roundSeconds.observe(round.seconds());
-        if (askMonitor(monitor, t + 1, states, view, gradEvals, wall)
-            == MonitorAction::Stop)
-            break;
-    }
-    return collect(states);
-}
-
-/** Batched-round telemetry (catalogued in docs/observability.md). */
-struct BatchMetrics
-{
-    obs::Gauge& dataPassesPerRound =
-        obs::Registry::global().gauge("eval.data_passes_per_round");
-
-    static BatchMetrics& get()
-    {
-        static BatchMetrics* m = new BatchMetrics; // leaked, like Registry
-        return *m;
-    }
-};
-
-/**
- * Phased barrier schedule with batched evaluation: warmup free-runs on
- * the pool, then each sampling round gathers every chain's pending
- * point into one EvalBatch and evaluates them against the shared data
- * in a single pass (HMC gathers once per leapfrog step, shrinking as
- * trajectories finish early). Per-chain RNG streams are consumed in
- * exactly the unbatched order, so draws are byte-identical to the
- * sequential schedule — the executor only changes who performs the
- * evaluation, not what is evaluated.
- *
- * With Config::speculationDepth > 0 the rounds also carry speculative
- * lanes (samplers::prefetch): each chain's predicted future points
- * ride the same shared-data pass, and a chain whose next pending point
- * byte-matches a cached entry commits the cached results through the
- * identical apply path instead of occupying a mandatory lane. For MH
- * the full depth-d accept/reject tree is planned on every miss, so in
- * steady state one evaluation pass serves d+1 rounds (the d successor
- * rounds resolve entirely from cache and skip their pass); for HMC the
- * predictable branch is the next iteration's reject-side first
- * leapfrog position, which fills otherwise-idle lanes of the round's
- * first pass. Monitor cadence is untouched — every chain still
- * advances exactly one iteration per round — so stop decisions stay
- * byte-identical too.
- */
-RunResult
-runBatchedPhased(support::ThreadPool& pool, const ppl::Model& model,
-                 States& states, int warmup, int sampling,
-                 const IterationMonitor& monitor, const Timer& wall,
-                 const Config& config)
-{
-    {
-        obs::Span span("sampler.warmup");
-        std::vector<std::future<void>> futures;
-        futures.reserve(states.size());
-        for (auto& chain : states) {
-            futures.push_back(pool.submit([&chain, warmup] {
-                obs::Span chainSpan("chain.warmup");
-                for (int t = 0; t < warmup; ++t)
-                    chain->warmupIteration(t);
-            }));
-        }
-        support::waitAll(futures);
-    }
-
-    ppl::Evaluator sharedEval(model);
-    const std::size_t dim = sharedEval.dim();
-    const int depth = config.speculationDepth;
-    ppl::EvalBatch batch;
-    ppl::EvalBatch grads;
-    std::vector<double> lp;
-    std::vector<double> laneGrad;
-    std::vector<ChainState*> pending;
-    pending.reserve(states.size());
-    std::vector<prefetch::Ledger> ledgers(depth > 0 ? states.size() : 0);
-    std::vector<prefetch::SpecLane> specLanes;
-    std::vector<const std::vector<double>*> lanePoints;
-    std::vector<std::size_t> mandatory;
-    std::vector<double> mhPendingLp(states.size());
-
-    std::vector<ChainResult> view(states.size());
-    std::vector<std::uint64_t> gradEvals(states.size());
-    for (int t = 0; t < sampling; ++t) {
-        Timer round;
-        std::uint64_t passes = 0;
-        {
-            obs::Span span("sampler.round");
-            if (config.algorithm == Algorithm::Mh) {
-                // Open every chain and try to serve its pending
-                // proposal from the speculation ledger; misses become
-                // mandatory lanes and trigger a fresh depth-d plan.
-                mandatory.clear();
-                specLanes.clear();
-                for (std::size_t c = 0; c < states.size(); ++c) {
-                    states[c]->mhBegin();
-                    const prefetch::CachedEval* hit = depth > 0
-                        ? ledgers[c].commit(states[c]->pendingProposal())
-                        : nullptr;
-                    if (hit)
-                        mhPendingLp[c] = hit->logProb;
-                    else
-                        mandatory.push_back(c);
-                }
-                for (const std::size_t c : mandatory) {
-                    if (depth <= 0)
-                        continue;
-                    ledgers[c].abort();
-                    states[c]->mhSpeculate(depth, ledgers[c], specLanes);
-                }
-                lanePoints.clear();
-                for (const std::size_t c : mandatory)
-                    lanePoints.push_back(&states[c]->pendingProposal());
-                for (const auto& s : specLanes)
-                    lanePoints.push_back(&s.ledger->entry(s.entry).point);
-                if (!lanePoints.empty()) {
-                    batch.assignPoints(dim, lanePoints);
-                    lp.resize(lanePoints.size());
-                    sharedEval.logProbBatch(batch, lp);
-                    ++passes;
-                    std::size_t l = 0;
-                    for (const std::size_t c : mandatory)
-                        mhPendingLp[c] = lp[l++];
-                    for (const auto& s : specLanes)
-                        s.ledger->entry(s.entry).logProb = lp[l++];
-                }
-                for (std::size_t c = 0; c < states.size(); ++c)
-                    states[c]->mhFinish(mhPendingLp[c]);
-            } else {
-                for (auto& chain : states)
-                    chain->hmcBegin();
-                bool firstPass = true;
-                for (;;) {
-                    pending.clear();
-                    specLanes.clear();
-                    for (std::size_t c = 0; c < states.size(); ++c) {
-                        // A cache hit advances the step in place and
-                        // the chain immediately prepares its next one,
-                        // all within the same gather.
-                        while (states[c]->hmcPrepare()) {
-                            const prefetch::CachedEval* hit = depth > 0
-                                ? ledgers[c].commit(
-                                      states[c]->pendingPosition())
-                                : nullptr;
-                            if (!hit) {
-                                pending.push_back(states[c].get());
-                                break;
-                            }
-                            states[c]->hmcApplyEval(hit->logProb,
-                                                    hit->grad);
-                        }
-                    }
-                    if (depth > 0 && firstPass) {
-                        // Stale predictions (the chain accepted) are
-                        // waste; reissue next-iteration predictions
-                        // into this round's first pass.
-                        for (std::size_t c = 0; c < states.size(); ++c) {
-                            ledgers[c].abort();
-                            states[c]->hmcSpeculate(ledgers[c], specLanes);
-                        }
-                    }
-                    firstPass = false;
-                    if (pending.empty() && specLanes.empty())
-                        break;
-                    lanePoints.clear();
-                    for (const ChainState* chain : pending)
-                        lanePoints.push_back(&chain->pendingPosition());
-                    for (const auto& s : specLanes)
-                        lanePoints.push_back(
-                            &s.ledger->entry(s.entry).point);
-                    batch.assignPoints(dim, lanePoints);
-                    lp.resize(lanePoints.size());
-                    sharedEval.logProbGradBatch(batch, lp, grads);
-                    ++passes;
-                    for (std::size_t l = 0; l < pending.size(); ++l) {
-                        grads.getPoint(l, laneGrad);
-                        pending[l]->hmcApplyEval(lp[l], laneGrad);
-                    }
-                    for (std::size_t i = 0; i < specLanes.size(); ++i) {
-                        prefetch::CachedEval& e =
-                            specLanes[i].ledger->entry(specLanes[i].entry);
-                        const std::size_t l = pending.size() + i;
-                        e.logProb = lp[l];
-                        grads.getPoint(l, e.grad);
-                    }
-                }
-                for (auto& chain : states)
-                    chain->hmcFinish();
-            }
-        }
-        BatchMetrics::get().dataPassesPerRound.set(
-            static_cast<double>(passes));
-        RunnerMetrics::get().roundSeconds.observe(round.seconds());
-        if (monitor
-            && askMonitor(monitor, t + 1, states, view, gradEvals, wall)
-                == MonitorAction::Stop)
-            break;
-    }
-    // Entries still in flight when the run ends (or stops early) were
-    // never realized: account them as waste so hits + wasted == issued
-    // holds over any run.
-    for (auto& ledger : ledgers)
-        ledger.abort();
     return collect(states);
 }
 
@@ -687,11 +524,6 @@ run(const ppl::Model& model, const Config& config,
     BAYES_CHECK(config.execution.workers >= 0,
                 "pool worker count must be >= 0, got "
                     << config.execution.workers);
-    // The MH speculation tree issues 2^(d+1)-2 lanes per chain; cap the
-    // depth where the tree would dwarf any realistic batch width.
-    BAYES_CHECK(config.speculationDepth >= 0 && config.speculationDepth <= 8,
-                "speculation depth must be in [0, 8], got "
-                    << config.speculationDepth);
 
     obs::Span runSpan("sampler.run");
     RunnerMetrics::get().runs.add();
@@ -706,35 +538,22 @@ run(const ppl::Model& model, const Config& config,
     const int warmup = config.resolvedWarmup();
     const int sampling = config.iterations - warmup;
 
-    switch (config.execution.mode) {
-      case ExecutionMode::Sequential:
-        return runSequential(states, warmup, sampling, monitor, wall);
-      case ExecutionMode::ThreadPerChain: {
-          support::ThreadPool perRun(config.chains);
-          return monitor
-              ? runPhased(perRun, states, warmup, sampling, monitor, wall)
-              : runFreeRunning(perRun, states, warmup, sampling);
-      }
-      case ExecutionMode::Pool: {
-          auto& pool = support::sharedPool(config.execution.workers);
-          // Pool mode is where chains share data and a schedule, so it
-          // is where batched evaluation pays: HMC/MH rounds gather all
-          // chains' pending points into one EvalBatch. NUTS/Slice keep
-          // per-chain evaluation (their evaluation schedule is
-          // data-dependent per chain).
-          if (config.batchEval && config.chains > 1
-              && (config.algorithm == Algorithm::Hmc
-                  || config.algorithm == Algorithm::Mh)) {
-              return runBatchedPhased(pool, model, states, warmup,
-                                      sampling, monitor, wall, config);
-          }
-          return monitor
-              ? runPhased(pool, states, warmup, sampling, monitor, wall)
-              : runFreeRunning(pool, states, warmup, sampling);
-      }
+    support::ThreadPool* pool = config.execution.mode == ExecutionMode::Pool
+        ? &support::sharedPool(config.execution.workers)
+        : nullptr;
+    // Pool mode is where chains share data and a schedule, so it is
+    // where batched evaluation pays: HMC/MH rounds gather all chains'
+    // pending points into one EvalBatch. NUTS/Slice keep per-chain
+    // evaluation (their evaluation schedule is data-dependent per
+    // chain).
+    if (pool && config.batchEval && config.chains > 1
+        && (config.algorithm == Algorithm::Hmc
+            || config.algorithm == Algorithm::Mh)) {
+        BatchedRound batched(model, states, config.algorithm);
+        return runSchedule(pool, states, warmup, sampling, monitor, wall,
+                           &batched);
     }
-    BAYES_ASSERT(!"unreachable execution mode");
-    return {};
+    return runSchedule(pool, states, warmup, sampling, monitor, wall);
 }
 
 DeadlineRunResult

@@ -11,19 +11,21 @@
  * identical stop decision.
  *
  * Execution is selected by Config::execution:
- *  - Sequential: rounds run on the calling thread (lockstep).
- *  - ThreadPerChain: a private worker per chain, torn down with the run.
- *  - Pool: the process-shared support::ThreadPool, reused across runs.
- * Without a monitor the parallel modes free-run (no barriers); with a
- * monitor they synchronize on a barrier each round and the monitor
- * executes on the calling thread while every chain is parked, so it may
- * touch caller state without locking.
+ *  - Sequential: the chains run inline on the calling thread.
+ *  - Pool: one task per chain on the process-shared
+ *    support::ThreadPool, reused across runs.
+ * Without a monitor every chain free-runs (no barriers); with a monitor
+ * the chains advance in barrier rounds and the monitor executes on the
+ * calling thread while every chain is parked, so it may touch caller
+ * state without locking. Pooled HMC/MH with Config::batchEval always
+ * advances in rounds: each round evaluates every chain's pending point
+ * in one shared EvalBatch on the calling thread.
  *
  * Warmup adaptation mirrors Stan's windowed scheme in simplified form:
  * an initial step-size-only phase, a long variance-accumulation phase
  * that ends by installing the diagonal metric, and a final step-size
- * re-adaptation phase. No monitor runs during warmup, so warmup always
- * free-runs in the parallel modes.
+ * re-adaptation phase. No monitor runs during warmup, so each chain's
+ * warmup always runs without barriers.
  */
 #pragma once
 

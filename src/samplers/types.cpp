@@ -26,8 +26,6 @@ executionModeName(ExecutionMode mode)
     switch (mode) {
       case ExecutionMode::Sequential:
         return "sequential";
-      case ExecutionMode::ThreadPerChain:
-        return "thread-per-chain";
       case ExecutionMode::Pool:
         return "pool";
     }

@@ -28,21 +28,21 @@ const char* algorithmName(Algorithm algo);
 /** How the chains of one run are mapped onto threads. */
 enum class ExecutionMode
 {
-    Sequential,     ///< lockstep rounds on the calling thread
-    ThreadPerChain, ///< one dedicated worker per chain, for this run only
-    Pool,           ///< process-shared worker pool, reused across runs
+    Sequential, ///< every chain inline on the calling thread
+    Pool,       ///< process-shared worker pool, reused across runs
 };
 
 /** Human-readable execution-mode name. */
 const char* executionModeName(ExecutionMode mode);
 
 /**
- * Chain execution policy. All three modes are draw-for-draw identical
- * (chains own independent RNG streams and evaluators) and all three
- * support an IterationMonitor: parallel modes run *phased* — every
- * chain advances one round, a barrier fires, and the monitor decides
+ * Chain execution policy. Both modes are draw-for-draw identical
+ * (chains own independent RNG streams and evaluators) and both support
+ * an IterationMonitor: with one, the run is *phased* — every chain
+ * advances one round, a barrier fires, and the monitor decides
  * continue/stop on the calling thread before the next round — so
- * computation elision composes with parallelism.
+ * computation elision composes with parallelism. pool(chains) gives
+ * every chain its own worker.
  */
 struct ExecutionPolicy
 {
@@ -51,10 +51,6 @@ struct ExecutionPolicy
     int workers = 0;
 
     static ExecutionPolicy sequential() { return {}; }
-    static ExecutionPolicy threadPerChain()
-    {
-        return {ExecutionMode::ThreadPerChain, 0};
-    }
     static ExecutionPolicy pool(int workers = 0)
     {
         return {ExecutionMode::Pool, workers};
@@ -91,17 +87,6 @@ struct Config
      * ablation knob for the batching experiments.
      */
     bool batchEval = true;
-    /**
-     * Speculative prefetching depth (0 = off). Active in Pool mode
-     * with batchEval on: each batched round also evaluates the
-     * accept/reject descendants of every chain's pending proposal
-     * (MH: the full depth-d tree; HMC: the reject branch one
-     * iteration ahead) from replica RNG streams, committing cached
-     * results when the chain realizes a predicted point. Draws are
-     * byte-identical at every depth — mispredictions only cost
-     * wasted lanes (see samplers::prefetch and docs/architecture.md).
-     */
-    int speculationDepth = 0;
     /** Base RNG seed; chain c uses the c-th fork of this stream. */
     std::uint64_t seed = 20190331;
 

@@ -1,13 +1,13 @@
 /**
  * @file
  * Shared determinism harness: byte-level run-equality checks and the
- * policy × batchEval × speculation-depth sweep used by the sampler,
- * batched-evaluation, elision and determinism suites.
+ * policy × batchEval sweep used by the sampler, batched-evaluation,
+ * elision and determinism suites.
  *
  * The executor's core guarantee — every ExecutionPolicy, with or
- * without batched evaluation and at every speculation depth, yields
- * draws byte-identical to the sequential unbatched schedule — used to
- * be asserted by three near-identical helpers in three test files.
+ * without batched evaluation, yields draws byte-identical to the
+ * sequential unbatched schedule — used to be asserted by three
+ * near-identical helpers in three test files.
  * This header is the single implementation: comparisons are *bitwise*
  * (memcmp on the double representations, so -0.0 vs 0.0 and NaN
  * payload differences are divergences), and a failure reports the
@@ -153,57 +153,42 @@ struct PolicyCase
     std::string label;
     samplers::ExecutionPolicy execution;
     bool batchEval = false;
-    int speculationDepth = 0;
 };
 
 /**
- * The standard sweep: thread-per-chain, pool unbatched, and pool
- * batched at each requested speculation depth. The reference cell
- * (sequential, unbatched, depth 0) is *not* in the grid — callers run
- * it once and compare every grid cell against it.
+ * The standard sweep: pool(chains) (a worker per chain), pool(2)
+ * unbatched, and pool(2) batched. The reference cell (sequential,
+ * unbatched) is *not* in the grid — callers run it once and compare
+ * every grid cell against it.
  */
 inline std::vector<PolicyCase>
-policyGrid(const std::vector<int>& depths = {0})
+policyGrid(int chains)
 {
-    std::vector<PolicyCase> grid;
-    grid.push_back(
-        {"thread-per-chain", samplers::ExecutionPolicy::threadPerChain(),
-         false, 0});
-    grid.push_back(
-        {"pool(2) unbatched", samplers::ExecutionPolicy::pool(2), false,
-         0});
-    for (const int depth : depths) {
-        std::ostringstream label;
-        label << "pool(2) batched depth " << depth;
-        grid.push_back({label.str(), samplers::ExecutionPolicy::pool(2),
-                        true, depth});
-    }
-    return grid;
+    return {{"pool(chains)", samplers::ExecutionPolicy::pool(chains), false},
+            {"pool(2) unbatched", samplers::ExecutionPolicy::pool(2), false},
+            {"pool(2) batched", samplers::ExecutionPolicy::pool(2), true}};
 }
 
 /**
  * Run @p model under the sequential unbatched reference schedule, then
- * under every policyGrid(depths) cell, asserting byte-identical runs
- * throughout. @p cfg's execution/batchEval/speculationDepth fields are
- * overwritten per cell; everything else (algorithm, chains, seed, ...)
- * is the caller's workload definition.
+ * under every policyGrid(cfg.chains) cell, asserting byte-identical
+ * runs throughout. @p cfg's execution/batchEval fields are overwritten
+ * per cell; everything else (algorithm, chains, seed, ...) is the
+ * caller's workload definition.
  */
 inline void
 expectPolicyInvariantDraws(const ppl::Model& model, samplers::Config cfg,
-                           const std::vector<int>& depths = {0},
                            const samplers::IterationMonitor& monitor =
                                nullptr)
 {
     cfg.execution = samplers::ExecutionPolicy::sequential();
     cfg.batchEval = false;
-    cfg.speculationDepth = 0;
     const auto reference = samplers::run(model, cfg, monitor);
 
-    for (const auto& cell : policyGrid(depths)) {
+    for (const auto& cell : policyGrid(cfg.chains)) {
         SCOPED_TRACE(cell.label);
         cfg.execution = cell.execution;
         cfg.batchEval = cell.batchEval;
-        cfg.speculationDepth = cell.speculationDepth;
         EXPECT_TRUE(identicalRuns(samplers::run(model, cfg, monitor),
                                   reference));
     }

@@ -2,12 +2,9 @@
  * @file
  * The determinism sweep (ctest label: determinism): drives the shared
  * harness across workloads × algorithms × seeds × execution policies ×
- * batchEval × speculation depths and asserts every cell's draws are
- * byte-identical to the sequential unbatched reference. This is the
- * acceptance gate for speculative prefetching — at any depth the
- * executor must produce the same bits it would have produced with
- * speculation off, with mispredictions surfacing only as wasted lanes
- * (obs counters, covered in test_obs), never as different draws.
+ * batchEval and asserts every cell's draws are byte-identical to the
+ * sequential unbatched reference — with and without a monitor that
+ * stops the run mid-way.
  */
 #include <gtest/gtest.h>
 
@@ -31,7 +28,7 @@ sweepConfig(samplers::Algorithm algo, std::uint64_t seed)
     return cfg;
 }
 
-TEST(Determinism, DrawsAreByteIdenticalAcrossPolicyAndDepthSweep)
+TEST(Determinism, DrawsAreByteIdenticalAcrossPolicySweep)
 {
     for (const char* name : {"ad", "12cities"}) {
         const auto wl = workloads::makeWorkload(name, 0.1);
@@ -43,57 +40,50 @@ TEST(Determinism, DrawsAreByteIdenticalAcrossPolicyAndDepthSweep)
                              << samplers::algorithmName(algo) << " seed "
                              << seed);
                 harness::expectPolicyInvariantDraws(
-                    *wl, sweepConfig(algo, seed), {0, 1, 2, 3});
+                    *wl, sweepConfig(algo, seed));
             }
         }
     }
 }
 
-TEST(Determinism, StopIterationIsDepthInvariant)
+TEST(Determinism, StopIterationIsPolicyInvariant)
 {
     // A monitor that stops mid-run must fire at the same round, with
-    // the same delivered draws, whether or not speculative work was in
-    // flight — aborted ledgers may never leak into chain state.
+    // the same delivered draws, under every schedule — batched rounds
+    // included.
     const auto wl = workloads::makeWorkload("ad", 0.1);
-    auto cfg = sweepConfig(samplers::Algorithm::Mh, 777);
-    cfg.iterations = 60;
-    cfg.warmup = 20;
     const samplers::IterationMonitor stopAt13 =
         [](const samplers::MonitorContext& ctx) {
             return ctx.round >= 13 ? samplers::MonitorAction::Stop
                                    : samplers::MonitorAction::Continue;
         };
-    harness::expectPolicyInvariantDraws(*wl, cfg, {0, 1, 2, 3}, stopAt13);
+    for (const auto algo :
+         {samplers::Algorithm::Mh, samplers::Algorithm::Hmc,
+          samplers::Algorithm::Nuts, samplers::Algorithm::Slice}) {
+        SCOPED_TRACE(samplers::algorithmName(algo));
+        auto cfg = sweepConfig(algo, 777);
+        cfg.iterations = 60;
+        cfg.warmup = 20;
+        harness::expectPolicyInvariantDraws(*wl, cfg, stopAt13);
 
-    cfg.execution = samplers::ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
-    cfg.speculationDepth = 3;
-    const auto stopped = samplers::run(*wl, cfg, stopAt13);
-    for (const auto& chain : stopped.chains)
-        EXPECT_EQ(chain.draws.size(), 13u);
+        cfg.execution = samplers::ExecutionPolicy::pool(2);
+        cfg.batchEval = true;
+        const auto stopped = samplers::run(*wl, cfg, stopAt13);
+        for (const auto& chain : stopped.chains)
+            EXPECT_EQ(chain.draws.size(), 13u);
+    }
 }
 
-TEST(Determinism, NonSpeculatingAlgorithmsStayPolicyInvariant)
+TEST(Determinism, NutsAndSliceStayPolicyInvariant)
 {
-    // NUTS and slice take the unbatched phased path regardless of
-    // batchEval/speculationDepth; the knobs must be inert for them.
+    // NUTS and slice take the unbatched schedule regardless of
+    // batchEval; the knob must be inert for them.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     for (const auto algo :
          {samplers::Algorithm::Nuts, samplers::Algorithm::Slice}) {
         SCOPED_TRACE(samplers::algorithmName(algo));
-        harness::expectPolicyInvariantDraws(
-            *wl, sweepConfig(algo, 777), {0, 2});
+        harness::expectPolicyInvariantDraws(*wl, sweepConfig(algo, 777));
     }
-}
-
-TEST(Determinism, SpeculationDepthValidation)
-{
-    const auto wl = workloads::makeWorkload("ad", 0.1);
-    auto cfg = sweepConfig(samplers::Algorithm::Mh, 777);
-    cfg.speculationDepth = -1;
-    EXPECT_THROW(samplers::run(*wl, cfg), Error);
-    cfg.speculationDepth = 9;
-    EXPECT_THROW(samplers::run(*wl, cfg), Error);
 }
 
 } // namespace

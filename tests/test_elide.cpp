@@ -141,7 +141,7 @@ TEST(Elision, StopDecisionIsIdenticalUnderEveryExecutionPolicy)
     const auto sequential = runWithElision(*wl, cfg);
 
     for (const auto policy :
-         {samplers::ExecutionPolicy::threadPerChain(),
+         {samplers::ExecutionPolicy::pool(cfg.chains),
           samplers::ExecutionPolicy::pool(2)}) {
         cfg.execution = policy;
         const auto parallel = runWithElision(*wl, cfg);

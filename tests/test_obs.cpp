@@ -540,16 +540,11 @@ TEST(Tracer, TraceJsonIsValidTraceEventFormat)
             << expected;
 }
 
-TEST(Metrics, SpeculationAccountingInvariant)
+TEST(Metrics, RoundSecondsObservesMonitoredRoundsOnly)
 {
-    // Every speculative lane the prefetch ledgers issue must be
-    // resolved exactly once — committed (hit) or aborted unconsumed
-    // (wasted) — by the end of the run, including lanes in flight when
-    // the run stops. MH at depth 2 predicts the next proposal from a
-    // replica RNG stream, so a seeded pooled run both hits (the
-    // realized branch is always one of the cached children) and
-    // wastes (the other branches).
-    Registry::global().reset();
+    // sampler.round_seconds is the monitored-round latency histogram.
+    // A pooled batched run advances in rounds even without a monitor,
+    // but those rounds must not land in it.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     samplers::Config cfg;
     cfg.algorithm = samplers::Algorithm::Mh;
@@ -559,36 +554,21 @@ TEST(Metrics, SpeculationAccountingInvariant)
     cfg.seed = 777;
     cfg.execution = samplers::ExecutionPolicy::pool(2);
     cfg.batchEval = true;
-    cfg.speculationDepth = 2;
+    Registry& reg = Registry::global();
+    Histogram& rounds = reg.histogram("sampler.round_seconds");
+
+    reg.reset();
     samplers::run(*wl, cfg);
+    // One shared pass per MH round: the run took the batched path.
+    EXPECT_DOUBLE_EQ(reg.gauge("eval.data_passes_per_round").value(), 1.0);
+    EXPECT_EQ(rounds.stats().count, 0u);
 
-    const auto issued = Registry::global().counter("spec.issued").value();
-    const auto hits = Registry::global().counter("spec.hits").value();
-    const auto wasted = Registry::global().counter("spec.wasted").value();
-    EXPECT_GT(issued, 0u);
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(wasted, 0u);
-    EXPECT_EQ(hits + wasted, issued);
-}
-
-TEST(Metrics, SpeculationDepthZeroEmitsNothing)
-{
-    Registry::global().reset();
-    const auto wl = workloads::makeWorkload("ad", 0.1);
-    samplers::Config cfg;
-    cfg.algorithm = samplers::Algorithm::Mh;
-    cfg.chains = 3;
-    cfg.iterations = 40;
-    cfg.warmup = 20;
-    cfg.seed = 777;
-    cfg.execution = samplers::ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
-    cfg.speculationDepth = 0;
-    samplers::run(*wl, cfg);
-
-    EXPECT_EQ(Registry::global().counter("spec.issued").value(), 0u);
-    EXPECT_EQ(Registry::global().counter("spec.hits").value(), 0u);
-    EXPECT_EQ(Registry::global().counter("spec.wasted").value(), 0u);
+    reg.reset();
+    samplers::run(*wl, cfg, [](const samplers::MonitorContext&) {
+        return samplers::MonitorAction::Continue;
+    });
+    EXPECT_EQ(rounds.stats().count,
+              static_cast<std::uint64_t>(cfg.postWarmup()));
 }
 
 TEST(Tracer, StartClearsPreviousCollection)

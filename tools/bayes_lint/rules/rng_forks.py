@@ -1,24 +1,21 @@
-"""R013: Rng state copies are confined to the sanctioned fork points.
+"""R013: Rng state copies are confined to the sanctioned fork point.
 
-Speculative prefetching replays a chain's future random stream from a
-replica of its generator, so the determinism story (byte-identical
-draws at every speculation depth — tests/determinism_harness.hpp)
-depends on every Rng duplication being one of the three documented
-fork points in src/support/rng.hpp: `fork()` (jumped independent
-stream), `replicaFork()` (exact replica, keeps the Box-Muller spare)
-and `streamFork()` (counter-based keyed stream). An ad-hoc
-copy-construction (`Rng clone = rng;`) silently duplicates generator
-state *including or excluding* the spare depending on how it is
-written, which is exactly the class of bug the fork points exist to
-rule out. Call a fork-point method instead; genuinely intentional
+Every Markov chain owns one random stream, and byte-identical draws
+across execution policies (tests/determinism_harness.hpp) depend on no
+two consumers ever replaying the same draws. src/support/rng.hpp
+therefore offers exactly one way to duplicate generator state:
+`fork()`, which returns a jumped, independent stream with no
+Box-Muller spare. An ad-hoc copy-construction (`Rng clone = rng;`)
+silently clones the stream — spare included — so two consumers draw
+the same numbers. Call `fork()` instead; genuinely intentional
 snapshots (e.g. checkpoint/restore) carry a waiver.
 
 The check is syntactic: a declaration `Rng name = expr;` whose
-initializer contains no call (a call is how every fork point is
+initializer contains no call (a call is how the fork point is
 reached), or a direct copy-construction `Rng name(other)` /
 `Rng name{other}` from something rng-named. Pass-by-value `Rng`
-parameters are not flagged — their arguments are produced by fork
-points at the call site.
+parameters are not flagged — their arguments are produced by fork()
+at the call site.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from ..engine import rule
 from ..source import grep_rule, in_dirs
 
 # `Rng clone = rng;` — copy-init whose right-hand side has no
-# parentheses (every sanctioned fork is a call, so a paren-free
+# parentheses (the sanctioned fork is a call, so a paren-free
 # initializer can only be a raw state copy).
 R013_COPY_INIT = re.compile(r"\bRng\s+\w+\s*=\s*[^;()=]*[A-Za-z_]\w*\s*;")
 
@@ -41,8 +38,8 @@ R013_CTOR_COPY = re.compile(
 R013_ALLOWED = {"src/support/rng.hpp", "src/support/rng.cpp"}
 
 
-@rule("R013", "Rng state copies confined to the fork points in "
-              "src/support/rng.hpp (fork/replicaFork/streamFork)")
+@rule("R013", "Rng state copies confined to the fork point in "
+              "src/support/rng.hpp (fork())")
 def rule_r013(files, findings, _ctx):
     for sf in files:
         if not in_dirs(sf.relpath, "src") or sf.relpath in R013_ALLOWED:
@@ -50,7 +47,6 @@ def rule_r013(files, findings, _ctx):
         for pat in (R013_COPY_INIT, R013_CTOR_COPY):
             grep_rule(sf, pat, "R013",
                       "raw Rng state copy; duplicate generator state "
-                      "only through the src/support/rng.hpp fork "
-                      "points (fork()/replicaFork()/streamFork()) so "
-                      "speculative replay stays byte-deterministic",
+                      "only through Rng::fork() (src/support/rng.hpp) "
+                      "so no two consumers replay the same draws",
                       findings)

@@ -9,7 +9,7 @@
  *   bayessuite_cli --list
  *   bayessuite_cli <workload> [--algorithm nuts|hmc|mh|slice|advi]
  *       [--chains N] [--iterations N] [--seed S] [--scale F]
- *       [--execution seq|threads|pool[:N]] [--elide]
+ *       [--execution seq|pool[:N]] [--elide]
  *       [--simulate skylake|broadwell] [--cores N] [--dump draws.csv]
  *       [--metrics-out FILE.json] [--trace-out FILE.json]
  */
@@ -59,7 +59,7 @@ usage()
         "workload's)\n"
         "  --seed S                       RNG seed\n"
         "  --scale F                      dataset scale in (0,1]\n"
-        "  --execution seq|threads|pool[:N]  chain execution policy\n"
+        "  --execution seq|pool[:N]       chain execution policy\n"
         "                                 (pool:N = shared pool, N workers)\n"
         "  --elide                        runtime convergence detection\n"
         "  --simulate skylake|broadwell   architecture simulation\n"
@@ -122,9 +122,6 @@ parse(int argc, char** argv, CliOptions& opt)
             if (e == "seq" || e == "sequential")
                 opt.config.execution =
                     samplers::ExecutionPolicy::sequential();
-            else if (e == "threads" || e == "thread-per-chain")
-                opt.config.execution =
-                    samplers::ExecutionPolicy::threadPerChain();
             else if (e == "pool")
                 opt.config.execution = samplers::ExecutionPolicy::pool();
             else if (e.rfind("pool:", 0) == 0 && e.size() > 5
