@@ -10,7 +10,6 @@
 #include "common.hpp"
 #include "elide/elision.hpp"
 #include "obs/obs.hpp"
-#include "ppl/evaluator.hpp"
 #include "samplers/runner.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -133,67 +132,6 @@ main()
             obsTable);
         std::fprintf(stderr, "[bench] trace events collected: %zu\n",
                      obs::Tracer::global().eventCount());
-    }
-
-    // Batched pooled evaluation: the same pooled HMC run with the
-    // round's gradient evaluations gathered into one EvalBatch
-    // (Config::batchEval, the default) vs per-chain evaluation. Draws
-    // are byte-identical; the win is one shared-data pass per round
-    // instead of K, shown directly as data bytes streamed per gradient
-    // evaluation at the Evaluator level.
-    {
-        const auto wl = workloads::makeWorkload("ad");
-        Table batchTable({"chains K", "batched wall(s)", "unbatched wall(s)",
-                          "data bytes/eval", "unbatched bytes/eval"});
-        for (const int chains : {2, 4, 8}) {
-            auto cfg = bench::userConfig(*wl);
-            cfg.algorithm = samplers::Algorithm::Hmc;
-            cfg.chains = chains;
-            cfg.hmcLeapfrogSteps = 8;
-            cfg.execution = samplers::ExecutionPolicy::pool();
-            std::fprintf(stderr,
-                         "[bench] batched eval: K=%d pooled HMC x2...\n",
-                         chains);
-
-            cfg.batchEval = true;
-            Timer tb;
-            const auto batched = samplers::run(*wl, cfg);
-            const double batchedSeconds = tb.seconds();
-            cfg.batchEval = false;
-            Timer tu;
-            const auto unbatched = samplers::run(*wl, cfg);
-            const double unbatchedSeconds = tu.seconds();
-            if (batched.chains[0].draws != unbatched.chains[0].draws) {
-                std::fprintf(stderr,
-                             "ERROR: batched draws differ from unbatched\n");
-                return 1;
-            }
-
-            // Data streamed per gradient evaluation, measured on the
-            // evaluator itself: a K-lane batch makes one pass where K
-            // singles make K.
-            ppl::Evaluator eval(*wl);
-            ppl::EvalBatch batch(eval.dim(),
-                                 static_cast<std::size_t>(chains));
-            std::vector<double> lp(static_cast<std::size_t>(chains));
-            ppl::EvalBatch grads;
-            eval.logProbGradBatch(batch, lp, grads);
-            const double bytesPerEval =
-                static_cast<double>(wl->modeledDataBytes())
-                * static_cast<double>(eval.numDataPasses())
-                / static_cast<double>(eval.numGradEvals());
-
-            batchTable.row()
-                .cell(static_cast<long>(chains))
-                .cell(batchedSeconds, 2)
-                .cell(unbatchedSeconds, 2)
-                .cell(bytesPerEval, 0)
-                .cell(static_cast<double>(wl->modeledDataBytes()), 0);
-        }
-        printSection(
-            "Batched pooled evaluation — wall time and shared-data bytes "
-            "per gradient eval vs chain count (HMC on `ad`, pool policy)",
-            batchTable);
     }
 
     bench::writeRunReport("micro_executor");

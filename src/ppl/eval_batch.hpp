@@ -88,23 +88,6 @@ class EvalBatch
             data_[d * lanes_ + k] = q[d];
     }
 
-    /**
-     * Pack a round: reshape to D×points.size() and scatter each
-     * pointed-to vector into its lane, in order. The batched executor
-     * uses this to gather the chains' pending points into one
-     * shared-data pass; lane results are bit-equal to single
-     * evaluations regardless of which lanes ride along (see
-     * test_eval_batch).
-     */
-    void
-    assignPoints(std::size_t dim,
-                 std::span<const std::vector<double>* const> points)
-    {
-        resize(dim, points.size());
-        for (std::size_t k = 0; k < points.size(); ++k)
-            setPoint(k, *points[k]);
-    }
-
     /** Gather lane @p k into a flat D-dim vector. */
     void
     getPoint(std::size_t k, std::vector<double>& q) const

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cmath>
-#include <span>
 #include <vector>
 
 #include "ppl/evaluator.hpp"
@@ -88,49 +87,18 @@ class Hamiltonian
 
     /**
      * One leapfrog step of size @p eps (may be negative for backward
-     * integration). Updates q, p, grad, and logProb in place.
+     * integration): half momentum kick, position drift, gradient at the
+     * new position, half kick. Updates q, p, grad, and logProb in place.
      */
     void
     leapfrog(PhasePoint& z, double eps)
-    {
-        leapfrogBegin(z, eps);
-        z.logProb = eval_->logProbGrad(z.q, z.grad);
-        const std::size_t n = dim();
-        for (std::size_t i = 0; i < n; ++i)
-            z.p[i] += 0.5 * eps * z.grad[i];
-    }
-
-    /**
-     * First half of a leapfrog step: half momentum kick + position
-     * drift. The step then needs the gradient at the new position —
-     * either evaluated inline (leapfrog) or delivered from a batched
-     * evaluation via leapfrogEnd. Splitting the step here is what lets
-     * the phased executor gather K chains' pending positions into one
-     * EvalBatch.
-     */
-    void
-    leapfrogBegin(PhasePoint& z, double eps)
     {
         const std::size_t n = dim();
         for (std::size_t i = 0; i < n; ++i)
             z.p[i] += 0.5 * eps * z.grad[i];
         for (std::size_t i = 0; i < n; ++i)
             z.q[i] += eps * invMetric_[i] * z.p[i];
-    }
-
-    /**
-     * Second half of a leapfrog step: install the log density and
-     * gradient evaluated at z.q (by whoever batched it) and apply the
-     * final half momentum kick.
-     */
-    void
-    leapfrogEnd(PhasePoint& z, double logProb, std::span<const double> grad,
-                double eps)
-    {
-        const std::size_t n = dim();
-        BAYES_ASSERT(grad.size() == n);
-        z.logProb = logProb;
-        z.grad.assign(grad.begin(), grad.end());
+        z.logProb = eval_->logProbGrad(z.q, z.grad);
         for (std::size_t i = 0; i < n; ++i)
             z.p[i] += 0.5 * eps * z.grad[i];
     }

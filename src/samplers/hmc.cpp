@@ -8,30 +8,26 @@ namespace bayes::samplers {
 HmcTransition
 HmcSampler::transition(PhasePoint& z, Rng& rng)
 {
-    HmcPhase ph;
-    begin(z, rng, ph);
-    std::vector<double> grad;
-    while (prepareStep(ph)) {
-        const double lp =
-            ham_->evaluator().logProbGrad(ph.trial.q, grad);
-        applyEval(ph, lp, grad);
-    }
-    return finish(z, ph, rng);
-}
+    ham_->sampleMomentum(rng, z);
+    const double joint0 = ham_->joint(z);
+    PhasePoint trial = z;
 
-HmcTransition
-HmcSampler::finish(PhasePoint& z, HmcPhase& ph, Rng& rng)
-{
     HmcTransition result;
-    result.gradEvals = ph.gradEvals;
+    for (int step = 0; step < steps_; ++step) {
+        ham_->leapfrog(trial, stepSize_);
+        ++result.gradEvals;
+        // The trajectory ends at the first non-finite density.
+        if (!std::isfinite(trial.logProb))
+            break;
+    }
 
-    double joint = ham_->joint(ph.trial);
+    double joint = ham_->joint(trial);
     if (!std::isfinite(joint))
         joint = -INFINITY;
-    result.divergent = ph.joint0 - joint > kDeltaMax;
-    result.acceptStat = std::min(1.0, std::exp(joint - ph.joint0));
+    result.divergent = joint0 - joint > kDeltaMax;
+    result.acceptStat = std::min(1.0, std::exp(joint - joint0));
     if (rng.uniform() < result.acceptStat) {
-        z = ph.trial;
+        z = trial;
         result.accepted = true;
     }
     return result;

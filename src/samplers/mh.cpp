@@ -23,22 +23,15 @@ MhSampler::adaptScale(double acceptProb)
 MhTransition
 MhSampler::transition(std::vector<double>& q, double& logProb, Rng& rng)
 {
-    std::vector<double> proposal;
-    propose(q, rng, proposal);
+    std::vector<double> proposal(q.size());
+    for (std::size_t i = 0; i < q.size(); ++i)
+        proposal[i] = q[i] + scale_ * rng.normal();
     const double proposalLogProb = eval_->logProb(proposal);
-    return finish(q, logProb, proposal, proposalLogProb, rng);
-}
 
-MhTransition
-MhSampler::finish(std::vector<double>& q, double& logProb,
-                  std::vector<double>& proposal, double proposalLogProb,
-                  Rng& rng)
-{
     MhTransition result;
     const double logRatio = proposalLogProb - logProb;
     result.acceptProb = std::min(1.0, std::exp(std::min(logRatio, 0.0)));
-    // The accept draw is skipped for an infeasible proposal — keep the
-    // short-circuit so the RNG stream matches the unbatched kernel.
+    // An infeasible proposal is rejected without an accept draw.
     if (std::isfinite(proposalLogProb)
         && std::log(std::max(rng.uniform(), 1e-300)) < logRatio) {
         q = std::move(proposal);

@@ -42,30 +42,6 @@ class MhSampler
     MhTransition transition(std::vector<double>& q, double& logProb,
                             Rng& rng);
 
-    // -- Split transition for batched execution ----------------------
-    // transition() == propose; evaluate; finish — byte-identical by
-    // construction: the split consumes the chain's RNG in the same
-    // order, including the accept draw's dependence on the proposal
-    // density being finite.
-
-    /** Draw the Gaussian proposal (consumes q.size() normal draws). */
-    void
-    propose(const std::vector<double>& q, Rng& rng,
-            std::vector<double>& proposal) const
-    {
-        proposal.resize(q.size());
-        for (std::size_t i = 0; i < q.size(); ++i)
-            proposal[i] = q[i] + scale_ * rng.normal();
-    }
-
-    /**
-     * Accept/reject @p proposal given its (batched) log density.
-     * @p proposal is consumed (moved into @p q) on acceptance.
-     */
-    MhTransition finish(std::vector<double>& q, double& logProb,
-                        std::vector<double>& proposal,
-                        double proposalLogProb, Rng& rng);
-
   private:
     ppl::Evaluator* eval_;
     double scale_;

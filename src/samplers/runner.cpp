@@ -1,5 +1,6 @@
 #include "samplers/runner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -32,8 +33,6 @@ struct RunnerMetrics
         obs::Registry::global().counter("sampler.divergences");
     obs::Histogram& roundSeconds =
         obs::Registry::global().histogram("sampler.round_seconds");
-    obs::Gauge& dataPassesPerRound =
-        obs::Registry::global().gauge("eval.data_passes_per_round");
 
     static RunnerMetrics& get()
     {
@@ -115,106 +114,41 @@ class ChainState
     void
     sampleIteration()
     {
-        const double acceptStat = advance();
-        finishIteration(IterationStat{}, acceptStat, /*record=*/false);
-    }
-
-    // -- Batched round protocol (HMC/MH, see BatchedRound) -------------
-    // Each round the executor opens every chain's transition, gathers
-    // the pending points into one EvalBatch, and delivers the shared
-    // evaluation back — the chain's RNG stream and floating-point
-    // sequence are exactly those of sampleIteration().
-
-    /** Open one MH iteration: draw the proposal to be evaluated. */
-    void mhBegin() { mh_.propose(z_.q, rng_, proposal_); }
-
-    /** Proposal point awaiting its (batched) density. */
-    const std::vector<double>& pendingProposal() const { return proposal_; }
-
-    /** Close the MH iteration with the batched density and record. */
-    void
-    mhFinish(double proposalLogProb)
-    {
-        const MhTransition t =
-            mh_.finish(z_.q, z_.logProb, proposal_, proposalLogProb, rng_);
-        finishIteration(IterationStat{0, 0, false}, t.acceptProb);
-    }
-
-    /** Open one HMC iteration: refresh momentum, start the trajectory. */
-    void hmcBegin() { hmc_.begin(z_, rng_, phase_); }
-
-    /**
-     * Advance to the trajectory's next pending position. Returns false
-     * when the trajectory needs no more gradient evaluations.
-     */
-    bool hmcPrepare() { return hmc_.prepareStep(phase_); }
-
-    /** Trajectory position awaiting its (batched) gradient. */
-    const std::vector<double>& pendingPosition() const
-    {
-        return phase_.trial.q;
-    }
-
-    /** Deliver the batched evaluation at the pending position. */
-    void
-    hmcApplyEval(double logProb, std::span<const double> grad)
-    {
-        hmc_.applyEval(phase_, logProb, grad);
-        ++extGradEvals_;
-    }
-
-    /** Close the HMC iteration (accept/reject) and record the draw. */
-    void
-    hmcFinish()
-    {
-        const HmcTransition t = hmc_.finish(z_, phase_, rng_);
-        finishIteration(
-            IterationStat{
-                t.gradEvals,
-                static_cast<std::uint16_t>(config_.hmcLeapfrogSteps),
-                t.divergent},
-            t.acceptStat);
+        acceptStats_.push_back(advance());
+        result.draws.push_back(eval_.constrain(z_.q));
+        result.logProbs.push_back(z_.logProb);
     }
 
     /** Gradient evaluations consumed so far (work counter). */
-    std::uint64_t
-    gradEvals() const
-    {
-        return eval_.numGradEvals() + extGradEvals_;
-    }
+    std::uint64_t gradEvals() const { return eval_.numGradEvals(); }
 
-    /** Finalize summary statistics. */
+    /**
+     * Keep the first @p draws draws and finalize the summary statistics
+     * over that prefix alone; totalGradEvals still counts all work done.
+     */
     void
-    finish()
+    finish(int draws)
     {
-        result.acceptRate = acceptAccum_.mean();
-        result.totalGradEvals = eval_.numGradEvals() + extGradEvals_;
+        const auto kept = static_cast<std::size_t>(draws);
+        result.draws.resize(kept);
+        result.logProbs.resize(kept);
+        result.iterStats.resize(
+            static_cast<std::size_t>(config_.resolvedWarmup() + draws));
+        RunningStats accept;
+        for (std::size_t t = 0; t < kept; ++t)
+            accept.add(acceptStats_[t]);
+        result.acceptRate = accept.mean();
+        result.divergences = static_cast<std::uint64_t>(
+            std::count_if(result.iterStats.end() - draws,
+                          result.iterStats.end(),
+                          [](const IterationStat& s) { return s.divergent; }));
+        result.totalGradEvals = eval_.numGradEvals();
         result.tapeNodesPerEval = eval_.lastTapeNodes();
     }
 
     ChainResult result;
 
   private:
-    /**
-     * Record one post-warmup iteration: the iteration stat and
-     * divergence count (when @p record — advance() already recorded
-     * them for the unbatched path), the acceptance statistic, and the
-     * constrained draw with its log density.
-     */
-    void
-    finishIteration(IterationStat stat, double acceptStat,
-                    bool record = true)
-    {
-        if (record) {
-            if (stat.divergent && !result.draws.empty())
-                ++result.divergences;
-            result.iterStats.push_back(stat);
-        }
-        acceptAccum_.add(acceptStat);
-        result.draws.push_back(eval_.constrain(z_.q));
-        result.logProbs.push_back(z_.logProb);
-    }
-
     /** One transition of the configured kernel; returns accept stat. */
     double
     advance()
@@ -254,8 +188,6 @@ class ChainState
               break;
           }
         }
-        if (stat.divergent && !result.draws.empty())
-            ++result.divergences;
         result.iterStats.push_back(stat);
         return acceptStat;
     }
@@ -278,23 +210,20 @@ class ChainState
     PhasePoint z_;
     std::unique_ptr<DualAveraging> da_;
     std::vector<RunningStats> welford_;
-    RunningStats acceptAccum_;
-    HmcPhase phase_;               ///< in-flight batched HMC transition
-    std::vector<double> proposal_; ///< in-flight batched MH proposal
-    std::uint64_t extGradEvals_ = 0; ///< evals served by a shared batch
+    std::vector<double> acceptStats_; ///< one per post-warmup iteration
 };
 
 using States = std::vector<std::unique_ptr<ChainState>>;
 
-/** Finalize every chain, roll its work into the metrics, hand over. */
+/** Finalize every chain at @p draws draws, roll up metrics, hand over. */
 RunResult
-collect(States& states)
+collect(States& states, int draws)
 {
     RunnerMetrics& metrics = RunnerMetrics::get();
     RunResult out;
     out.chains.resize(states.size());
     for (std::size_t c = 0; c < states.size(); ++c) {
-        states[c]->finish();
+        states[c]->finish(draws);
         out.chains[c] = std::move(states[c]->result);
         metrics.chains.add();
         metrics.iterations.add(out.chains[c].iterStats.size());
@@ -356,106 +285,51 @@ warmupChain(ChainState& chain, int warmup)
         chain.warmupIteration(t);
 }
 
-/**
- * One batched HMC/MH round on the calling thread: gather every chain's
- * pending point into one EvalBatch and evaluate them against the shared
- * data in a single pass (HMC gathers once per leapfrog step, shrinking
- * as trajectories finish early). Per-chain RNG streams are consumed in
- * exactly the unbatched order, so draws are byte-identical to the
- * sequential schedule — batching only changes who performs the
- * evaluation, not what is evaluated.
- */
-class BatchedRound
+/** How a schedule ended: draws every chain keeps, deadline expiry. */
+struct Stop
 {
-  public:
-    BatchedRound(const ppl::Model& model, States& states, Algorithm algo)
-        : sharedEval_(model), states_(states), algo_(algo)
-    {
-        lanes_.reserve(states.size());
-        pending_.reserve(states.size());
-    }
-
-    void
-    operator()()
-    {
-        std::uint64_t passes = 0;
-        if (algo_ == Algorithm::Mh) {
-            lanes_.clear();
-            for (auto& chain : states_) {
-                chain->mhBegin();
-                lanes_.push_back(&chain->pendingProposal());
-            }
-            batch_.assignPoints(sharedEval_.dim(), lanes_);
-            lp_.resize(lanes_.size());
-            sharedEval_.logProbBatch(batch_, lp_);
-            ++passes;
-            for (std::size_t c = 0; c < states_.size(); ++c)
-                states_[c]->mhFinish(lp_[c]);
-        } else {
-            for (auto& chain : states_)
-                chain->hmcBegin();
-            for (;;) {
-                pending_.clear();
-                lanes_.clear();
-                for (auto& chain : states_) {
-                    if (chain->hmcPrepare()) {
-                        pending_.push_back(chain.get());
-                        lanes_.push_back(&chain->pendingPosition());
-                    }
-                }
-                if (pending_.empty())
-                    break;
-                batch_.assignPoints(sharedEval_.dim(), lanes_);
-                lp_.resize(lanes_.size());
-                sharedEval_.logProbGradBatch(batch_, lp_, grads_);
-                ++passes;
-                for (std::size_t l = 0; l < pending_.size(); ++l) {
-                    grads_.getPoint(l, laneGrad_);
-                    pending_[l]->hmcApplyEval(lp_[l], laneGrad_);
-                }
-            }
-            for (auto& chain : states_)
-                chain->hmcFinish();
-        }
-        RunnerMetrics::get().dataPassesPerRound.set(
-            static_cast<double>(passes));
-    }
-
-  private:
-    ppl::Evaluator sharedEval_;
-    States& states_;
-    Algorithm algo_;
-    ppl::EvalBatch batch_;
-    ppl::EvalBatch grads_;
-    std::vector<double> lp_;
-    std::vector<double> laneGrad_;
-    std::vector<ChainState*> pending_;
-    std::vector<const std::vector<double>*> lanes_;
+    int draws;
+    bool expired;
 };
 
 /**
- * The one schedule. Unbatched and without a monitor, every chain
- * free-runs its warmup and sampling as one unit. Otherwise every chain
- * warms up, then the chains advance in barrier rounds — one iteration
- * per chain per round, by forEachChain or by the @p batched round — and
- * after each round the monitor decides on the calling thread while
- * every chain is parked. Stopping only ends the loop, so delivered
- * draws are a prefix of the full run's under every policy.
+ * Free-run schedule, for a pool with a worker per chain and no monitor:
+ * each chain runs its warmup and sampling as one task, reading the
+ * clock after every post-warmup iteration and stopping once @p deadline
+ * has passed. Every chain then keeps the shortest chain's draw count.
  */
-RunResult
-runSchedule(support::ThreadPool* pool, States& states, int warmup,
-            int sampling, const IterationMonitor& monitor, const Timer& wall,
-            BatchedRound* batched = nullptr)
+Stop
+freeRun(support::ThreadPool& pool, States& states, int warmup,
+        int sampling, double deadline, const Timer& wall)
 {
-    if (!monitor && !batched) {
-        forEachChain(pool, states, [warmup, sampling](ChainState& chain) {
-            warmupChain(chain, warmup);
-            obs::Span span("chain.sample");
-            for (int t = 0; t < sampling; ++t)
-                chain.sampleIteration();
-        });
-        return collect(states);
-    }
+    forEachChain(&pool, states, [&](ChainState& chain) {
+        warmupChain(chain, warmup);
+        obs::Span span("chain.sample");
+        for (int t = 0; t < sampling; ++t) {
+            chain.sampleIteration();
+            if (wall.seconds() >= deadline)
+                break;
+        }
+    });
+    int draws = sampling;
+    for (const auto& chain : states)
+        draws = std::min(draws, static_cast<int>(chain->result.draws.size()));
+    return {draws, draws < sampling};
+}
+
+/**
+ * Barrier-round schedule, for everything else: every chain warms up,
+ * then the chains advance one iteration per round. After each round the
+ * calling thread checks @p deadline and then asks the monitor, while
+ * every chain is parked. A chain queued behind others never starts
+ * sampling after the deadline, so a late chain still delivers as many
+ * draws as the rest.
+ */
+Stop
+barrierRounds(support::ThreadPool* pool, States& states, int warmup,
+              int sampling, double deadline, const IterationMonitor& monitor,
+              const Timer& wall)
+{
     {
         obs::Span span("sampler.warmup");
         forEachChain(pool, states, [warmup](ChainState& chain) {
@@ -465,26 +339,24 @@ runSchedule(support::ThreadPool* pool, States& states, int warmup,
 
     std::vector<ChainResult> view(states.size());
     std::vector<std::uint64_t> gradEvals(states.size());
-    for (int t = 0; t < sampling; ++t) {
-        Timer round;
+    for (int round = 1; round <= sampling; ++round) {
+        Timer roundTimer;
         {
             obs::Span span("sampler.round");
-            if (batched)
-                (*batched)();
-            else
-                forEachChain(pool, states, [](ChainState& chain) {
-                    obs::Span chainSpan("chain.round");
-                    chain.sampleIteration();
-                });
+            forEachChain(pool, states, [](ChainState& chain) {
+                obs::Span chainSpan("chain.round");
+                chain.sampleIteration();
+            });
         }
-        if (!monitor)
-            continue;
-        RunnerMetrics::get().roundSeconds.observe(round.seconds());
-        if (askMonitor(monitor, t + 1, states, view, gradEvals, wall)
-            == MonitorAction::Stop)
-            break;
+        RunnerMetrics::get().roundSeconds.observe(roundTimer.seconds());
+        if (wall.seconds() >= deadline)
+            return {round, round < sampling};
+        if (monitor
+            && askMonitor(monitor, round, states, view, gradEvals, wall)
+                == MonitorAction::Stop)
+            return {round, false};
     }
-    return collect(states);
+    return {sampling, false};
 }
 
 } // namespace
@@ -518,6 +390,13 @@ RunResult
 run(const ppl::Model& model, const Config& config,
     const IterationMonitor& monitor)
 {
+    return runWithDeadline(model, config, INFINITY, monitor).run;
+}
+
+DeadlineRunResult
+runWithDeadline(const ppl::Model& model, const Config& config,
+                double deadlineSeconds, const IterationMonitor& monitor)
+{
     BAYES_CHECK(config.chains >= 1, "need at least one chain");
     BAYES_CHECK(config.iterations > config.resolvedWarmup(),
                 "iterations must exceed warmup");
@@ -538,50 +417,16 @@ run(const ppl::Model& model, const Config& config,
     const int warmup = config.resolvedWarmup();
     const int sampling = config.iterations - warmup;
 
+    // Only the monitor, the policy and the pool width pick the
+    // schedule; the deadline changes only when the run stops.
     support::ThreadPool* pool = config.execution.mode == ExecutionMode::Pool
         ? &support::sharedPool(config.execution.workers)
         : nullptr;
-    // Pool mode is where chains share data and a schedule, so it is
-    // where batched evaluation pays: HMC/MH rounds gather all chains'
-    // pending points into one EvalBatch. NUTS/Slice keep per-chain
-    // evaluation (their evaluation schedule is data-dependent per
-    // chain).
-    if (pool && config.batchEval && config.chains > 1
-        && (config.algorithm == Algorithm::Hmc
-            || config.algorithm == Algorithm::Mh)) {
-        BatchedRound batched(model, states, config.algorithm);
-        return runSchedule(pool, states, warmup, sampling, monitor, wall,
-                           &batched);
-    }
-    return runSchedule(pool, states, warmup, sampling, monitor, wall);
-}
-
-DeadlineRunResult
-runWithDeadline(const ppl::Model& model, const Config& config,
-                double deadlineSeconds, const IterationMonitor& monitor)
-{
-    DeadlineRunResult out;
-    const Timer wall;
-    if (std::isinf(deadlineSeconds) && deadlineSeconds > 0.0) {
-        out.run = run(model, config, monitor);
-        out.elapsedSeconds = wall.seconds();
-        return out;
-    }
-    bool expired = false;
-    const IterationMonitor deadlineMonitor =
-        [&](const MonitorContext& ctx) -> MonitorAction {
-        if (ctx.elapsedSeconds >= deadlineSeconds) {
-            // Only a premature stop counts as expiry: the final round
-            // of a run that just fits its budget is not a miss.
-            expired = ctx.round < config.postWarmup();
-            return MonitorAction::Stop;
-        }
-        return monitor ? monitor(ctx) : MonitorAction::Continue;
-    };
-    out.run = run(model, config, deadlineMonitor);
-    out.expired = expired;
-    out.elapsedSeconds = wall.seconds();
-    return out;
+    const Stop stop = !monitor && pool && pool->workers() >= config.chains
+        ? freeRun(*pool, states, warmup, sampling, deadlineSeconds, wall)
+        : barrierRounds(pool, states, warmup, sampling, deadlineSeconds,
+                        monitor, wall);
+    return {collect(states, stop.draws), stop.expired, wall.seconds()};
 }
 
 } // namespace bayes::samplers

@@ -1,31 +1,35 @@
 /**
  * @file
- * Multi-chain driver — the phased barrier executor. Chains advance in
- * rounds (one iteration per chain per round); after every post-warmup
- * round the monitor observes all chains at the same draw count and
- * decides continue/stop — the hook the convergence-elision mechanism
- * (§VI) plugs into. The schedule across threads never changes any
+ * Multi-chain driver. The schedule across threads never changes any
  * chain's own trajectory: each chain has an independent RNG stream and
- * evaluator, so every ExecutionPolicy yields identical draws and —
- * because the monitor always sees the same synchronized view — the
+ * evaluator, so every ExecutionPolicy yields identical draws and the
  * identical stop decision.
  *
  * Execution is selected by Config::execution:
  *  - Sequential: the chains run inline on the calling thread.
  *  - Pool: one task per chain on the process-shared
  *    support::ThreadPool, reused across runs.
- * Without a monitor every chain free-runs (no barriers); with a monitor
- * the chains advance in barrier rounds and the monitor executes on the
- * calling thread while every chain is parked, so it may touch caller
- * state without locking. Pooled HMC/MH with Config::batchEval always
- * advances in rounds: each round evaluates every chain's pending point
- * in one shared EvalBatch on the calling thread.
+ *
+ * Two schedules, picked only by the monitor, the policy and the pool
+ * width:
+ *  - Free run — no monitor and a pool with a worker per chain. Each
+ *    chain runs warmup and sampling as one task and checks the deadline
+ *    after every post-warmup iteration; after the join every chain is
+ *    cut to the shortest chain's draw count.
+ *  - Barrier rounds — a monitor, Sequential, or more chains than
+ *    workers. Every chain warms up, then the chains advance one
+ *    iteration per round; after every round the calling thread checks
+ *    the deadline, then the monitor observes all chains at the same
+ *    draw count and decides continue/stop — the hook the
+ *    convergence-elision mechanism (§VI) plugs into. The monitor runs
+ *    while every chain is parked, so it may touch caller state without
+ *    locking.
  *
  * Warmup adaptation mirrors Stan's windowed scheme in simplified form:
  * an initial step-size-only phase, a long variance-accumulation phase
  * that ends by installing the diagonal metric, and a final step-size
- * re-adaptation phase. No monitor runs during warmup, so each chain's
- * warmup always runs without barriers.
+ * re-adaptation phase. Neither the monitor nor the deadline acts during
+ * warmup, so each chain's warmup always runs without barriers.
  */
 #pragma once
 
@@ -79,31 +83,36 @@ RunResult run(const ppl::Model& model, const Config& config,
 struct DeadlineRunResult
 {
     RunResult run;
-    /** True when the deadline cut the run short of its iteration budget. */
+    /**
+     * True when the deadline, not the monitor, ended the run before
+     * Config::postWarmup() draws.
+     */
     bool expired = false;
     /** Wall-clock seconds the run consumed (warmup included). */
     double elapsedSeconds = 0.0;
 };
 
 /**
- * Run a multi-chain job under a wall-clock budget. The deadline is
- * enforced at round granularity through the phased executor's monitor:
- * after every post-warmup round the elapsed time is compared against
- * @p deadlineSeconds and the run stops — keeping every draw taken so
- * far — the first time it is exceeded. Consequences of that design:
+ * Run a multi-chain job under a wall-clock budget. The deadline is a
+ * stop time for run()'s schedule: free-running chains each read the
+ * clock after every post-warmup iteration, and barrier rounds check it
+ * after every round, before the monitor. Consequences of that design:
  *
- *  - warmup always completes (no monitor fires during warmup), so a
- *    deadline shorter than warmup still pays for warmup plus exactly
- *    one sampling round;
- *  - a non-finite deadline (or infinity) disables the check and the
- *    run degenerates to plain run();
+ *  - warmup always completes, and every chain keeps at least one draw,
+ *    so a deadline shorter than warmup still pays for warmup plus one
+ *    sampling iteration;
+ *  - free-running chains stop at draw granularity, then every chain is
+ *    cut to the shortest chain's draws: draws, logProbs, iterStats,
+ *    acceptRate and divergences describe that kept prefix, while
+ *    totalGradEvals counts the discarded iterations too;
+ *  - infinity disables the check and the run is plain run();
  *  - the deadline changes only *when the run stops*, never any chain's
  *    trajectory, so delivered draws are a prefix of the undeadlined
  *    run's draws under every ExecutionPolicy.
  *
  * This is the entry the bayes::serve runtime uses to keep one tenant's
  * over-budget request from blowing through everyone else's SLO.
- * @param deadlineSeconds  wall budget; <= 0 stops after the first round
+ * @param deadlineSeconds  wall budget; <= 0 stops after the first draw
  * @param monitor          optional inner monitor (elision etc.); its
  *                         Stop verdict is honored alongside the deadline
  */

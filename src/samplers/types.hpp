@@ -41,8 +41,10 @@ const char* executionModeName(ExecutionMode mode);
  * an IterationMonitor: with one, the run is *phased* — every chain
  * advances one round, a barrier fires, and the monitor decides
  * continue/stop on the calling thread before the next round — so
- * computation elision composes with parallelism. pool(chains) gives
- * every chain its own worker.
+ * computation elision composes with parallelism. A pool with a worker
+ * per chain (e.g. pool(chains)) lets a run without a monitor free-run:
+ * each chain samples to the end, or to the deadline, on its own worker.
+ * Sequential runs and narrower pools always advance in rounds.
  */
 struct ExecutionPolicy
 {
@@ -80,13 +82,6 @@ struct Config
     bool adaptMetric = true;
     /** How chains are executed (see ExecutionPolicy). */
     ExecutionPolicy execution;
-    /**
-     * Pool mode: gather the chains' pending points into one EvalBatch
-     * per round (HMC/MH), streaming the observed data once for all
-     * chains. Draw-for-draw identical to the unbatched schedules;
-     * ablation knob for the batching experiments.
-     */
-    bool batchEval = true;
     /** Base RNG seed; chain c uses the c-th fork of this stream. */
     std::uint64_t seed = 20190331;
 
@@ -106,6 +101,8 @@ struct IterationStat
     std::uint16_t treeDepth;
     /** True when the trajectory diverged. */
     bool divergent;
+
+    bool operator==(const IterationStat&) const = default;
 };
 
 /** Result of a single chain. */

@@ -6,7 +6,7 @@
  * decides admit-vs-shed against a bounded priority queue, and admitted
  * requests are served one at a time on the coordinating thread with
  * their chains fanned out over the process-shared support::ThreadPool
- * through the pooled batched executor. The serving layer never creates
+ * through the pooled executor. The serving layer never creates
  * threads of its own (lint rule R009): one coordinator + one shared
  * pool is the whole concurrency story, which keeps the pool's
  * no-nested-wait usage rule satisfied by construction.

@@ -2,7 +2,7 @@
  * @file
  * The repo's single wall-clock seam. Lint rule R012 confines direct
  * `std::chrono::*_clock::now()` calls to this header: every consumer —
- * the phased executor's deadline monitor, the pool's idle/latency
+ * the sampler runner's deadline checks, the pool's idle/latency
  * histograms, the tracer's span timestamps, the serving runtime's
  * measured service times — reads time through `support::Clock` (usually
  * via `bayes::Timer`), so there is exactly one auditable time source.

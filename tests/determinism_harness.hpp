@@ -1,13 +1,12 @@
 /**
  * @file
  * Shared determinism harness: byte-level run-equality checks and the
- * policy × batchEval sweep used by the sampler, batched-evaluation,
- * elision and determinism suites.
+ * execution-policy sweep used by the sampler, elision, amortized-serving
+ * and determinism suites.
  *
- * The executor's core guarantee — every ExecutionPolicy, with or
- * without batched evaluation, yields draws byte-identical to the
- * sequential unbatched schedule — used to be asserted by three
- * near-identical helpers in three test files.
+ * The executor's core guarantee — every ExecutionPolicy yields draws
+ * byte-identical to the sequential schedule — used to be asserted by
+ * three near-identical helpers in three test files.
  * This header is the single implementation: comparisons are *bitwise*
  * (memcmp on the double representations, so -0.0 vs 0.0 and NaN
  * payload differences are divergences), and a failure reports the
@@ -152,29 +151,27 @@ struct PolicyCase
 {
     std::string label;
     samplers::ExecutionPolicy execution;
-    bool batchEval = false;
 };
 
 /**
- * The standard sweep: pool(chains) (a worker per chain), pool(2)
- * unbatched, and pool(2) batched. The reference cell (sequential,
- * unbatched) is *not* in the grid — callers run it once and compare
- * every grid cell against it.
+ * The standard sweep: pool(chains) (a worker per chain, so an
+ * unmonitored run free-runs) and pool(2) (barrier rounds once chains
+ * outnumber workers). The reference cell (sequential) is *not* in the
+ * grid — callers run it once and compare every grid cell against it.
  */
 inline std::vector<PolicyCase>
 policyGrid(int chains)
 {
-    return {{"pool(chains)", samplers::ExecutionPolicy::pool(chains), false},
-            {"pool(2) unbatched", samplers::ExecutionPolicy::pool(2), false},
-            {"pool(2) batched", samplers::ExecutionPolicy::pool(2), true}};
+    return {{"pool(chains)", samplers::ExecutionPolicy::pool(chains)},
+            {"pool(2)", samplers::ExecutionPolicy::pool(2)}};
 }
 
 /**
- * Run @p model under the sequential unbatched reference schedule, then
- * under every policyGrid(cfg.chains) cell, asserting byte-identical
- * runs throughout. @p cfg's execution/batchEval fields are overwritten
- * per cell; everything else (algorithm, chains, seed, ...) is the
- * caller's workload definition.
+ * Run @p model under the sequential reference schedule, then under
+ * every policyGrid(cfg.chains) cell, asserting byte-identical runs
+ * throughout. @p cfg's execution field is overwritten per cell;
+ * everything else (algorithm, chains, seed, ...) is the caller's
+ * workload definition.
  */
 inline void
 expectPolicyInvariantDraws(const ppl::Model& model, samplers::Config cfg,
@@ -182,13 +179,11 @@ expectPolicyInvariantDraws(const ppl::Model& model, samplers::Config cfg,
                                nullptr)
 {
     cfg.execution = samplers::ExecutionPolicy::sequential();
-    cfg.batchEval = false;
     const auto reference = samplers::run(model, cfg, monitor);
 
     for (const auto& cell : policyGrid(cfg.chains)) {
         SCOPED_TRACE(cell.label);
         cfg.execution = cell.execution;
-        cfg.batchEval = cell.batchEval;
         EXPECT_TRUE(identicalRuns(samplers::run(model, cfg, monitor),
                                   reference));
     }

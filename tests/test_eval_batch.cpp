@@ -4,8 +4,8 @@
  * tape sweep behind it, lane-for-lane equality between
  * Evaluator::logProb{,Grad}Batch and the K=1 singles they generalize
  * (all six fused workloads plus their scalar-likelihood twins, ragged
- * final batches included), the data-pass accounting the batching
- * exists to improve, and byte-identical pooled-batched sampler draws.
+ * final batches included), and the data-pass accounting the batching
+ * exists to improve.
  */
 #include <gtest/gtest.h>
 
@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "ad/tape.hpp"
-#include "determinism_harness.hpp"
 #include "ppl/evaluator.hpp"
-#include "samplers/runner.hpp"
 #include "support/rng.hpp"
 #include "workloads/suite.hpp"
 
@@ -271,27 +269,6 @@ TEST(EvalBatch, ReserveHintSurvivesScalarToggle)
     EXPECT_NEAR(fusedLp, scalarLp, tol);
     eval.setScalarLikelihood(false);
     EXPECT_NEAR(eval.logProbGrad(pts[0], g1), fusedLp, 1e-15);
-}
-
-TEST(EvalBatch, PooledBatchedDrawsMatchSequential)
-{
-    // The acceptance gate: pooled batched rounds replay the exact
-    // per-chain RNG and evaluation schedule, so HMC and MH draws are
-    // byte-identical to the sequential executor's and the pooled
-    // executor's with batching off.
-    const auto wl = workloads::makeWorkload("ad", 0.1);
-    for (const auto algo : {samplers::Algorithm::Hmc,
-                            samplers::Algorithm::Mh}) {
-        SCOPED_TRACE(static_cast<int>(algo));
-        samplers::Config cfg;
-        cfg.algorithm = algo;
-        cfg.chains = 3;
-        cfg.iterations = 40;
-        cfg.warmup = 20;
-        cfg.hmcLeapfrogSteps = 8;
-        cfg.seed = 777;
-        harness::expectPolicyInvariantDraws(*wl, cfg);
-    }
 }
 
 } // namespace

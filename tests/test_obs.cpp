@@ -540,11 +540,11 @@ TEST(Tracer, TraceJsonIsValidTraceEventFormat)
             << expected;
 }
 
-TEST(Metrics, RoundSecondsObservesMonitoredRoundsOnly)
+TEST(Metrics, RoundSecondsObservesBarrierRoundsOnly)
 {
-    // sampler.round_seconds is the monitored-round latency histogram.
-    // A pooled batched run advances in rounds even without a monitor,
-    // but those rounds must not land in it.
+    // sampler.round_seconds times every barrier round the calling
+    // thread waits on, monitored or not. An unmonitored run with a
+    // worker per chain free-runs and takes no rounds.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     samplers::Config cfg;
     cfg.algorithm = samplers::Algorithm::Mh;
@@ -552,23 +552,24 @@ TEST(Metrics, RoundSecondsObservesMonitoredRoundsOnly)
     cfg.iterations = 40;
     cfg.warmup = 20;
     cfg.seed = 777;
-    cfg.execution = samplers::ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
     Registry& reg = Registry::global();
     Histogram& rounds = reg.histogram("sampler.round_seconds");
+    const auto roundsTimed = [&](int workers,
+                                 const samplers::IterationMonitor& monitor) {
+        cfg.execution = samplers::ExecutionPolicy::pool(workers);
+        reg.reset();
+        samplers::run(*wl, cfg, monitor);
+        return rounds.stats().count;
+    };
+    const samplers::IterationMonitor keepGoing =
+        [](const samplers::MonitorContext&) {
+            return samplers::MonitorAction::Continue;
+        };
+    const auto everyRound = static_cast<std::uint64_t>(cfg.postWarmup());
 
-    reg.reset();
-    samplers::run(*wl, cfg);
-    // One shared pass per MH round: the run took the batched path.
-    EXPECT_DOUBLE_EQ(reg.gauge("eval.data_passes_per_round").value(), 1.0);
-    EXPECT_EQ(rounds.stats().count, 0u);
-
-    reg.reset();
-    samplers::run(*wl, cfg, [](const samplers::MonitorContext&) {
-        return samplers::MonitorAction::Continue;
-    });
-    EXPECT_EQ(rounds.stats().count,
-              static_cast<std::uint64_t>(cfg.postWarmup()));
+    EXPECT_EQ(roundsTimed(3, nullptr), 0u);
+    EXPECT_EQ(roundsTimed(3, keepGoing), everyRound);
+    EXPECT_EQ(roundsTimed(2, nullptr), everyRound);
 }
 
 TEST(Tracer, StartClearsPreviousCollection)

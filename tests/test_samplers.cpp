@@ -3,11 +3,12 @@
  * Sampler correctness: posterior moment recovery on analytically known
  * targets for MH, HMC and NUTS; dual-averaging behavior; runner
  * determinism; the phased-executor guarantees (identical draws and
- * stop decisions under every ExecutionPolicy); and the monitor
- * contract.
+ * stop decisions under every ExecutionPolicy); the monitor contract;
+ * and the deadline contract under both schedules.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -18,6 +19,7 @@
 #include "samplers/runner.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
+#include "workloads/suite.hpp"
 
 namespace bayes::samplers {
 namespace {
@@ -386,13 +388,12 @@ TEST(Samplers, DeadlineZeroStopsAfterOneRoundWithWarmupComplete)
     }
 }
 
-TEST(Samplers, DeadlinePrefixHoldsUnderPooledBatchedExecution)
+TEST(Samplers, DeadlinePrefixHoldsUnderPooledExecution)
 {
     GaussianTarget model;
     auto cfg = baseConfig(Algorithm::Mh, 80);
     cfg.warmup = 40;
     cfg.execution = ExecutionPolicy::pool(2);
-    cfg.batchEval = true;
     const double dt = 0.25;
     const IterationMonitor tick = [&](const MonitorContext&) {
         g_fakeNow.store(g_fakeNow.load() + dt);
@@ -407,6 +408,145 @@ TEST(Samplers, DeadlinePrefixHoldsUnderPooledBatchedExecution)
     EXPECT_TRUE(got.expired);
     EXPECT_EQ(got.run.chains[0].draws.size(), 11u); // ceil(9.5)+1 rounds
     EXPECT_TRUE(harness::identicalPrefix(got.run, full.run));
+}
+
+// -- Free-running deadline path ---------------------------------------
+// Here the fake clock moves with the model instead: every density
+// evaluation advances it by kEvalSeconds, so expiry lands mid-sampling
+// while the chains run concurrently on pool(chains).
+
+constexpr double kEvalSeconds = 1.0 / 1024.0; // exact: sums never round
+
+/** Forwards to another model; every density evaluation ticks the clock. */
+class TickingModel : public ppl::Model
+{
+  public:
+    explicit TickingModel(const ppl::Model& inner) : inner_(inner) {}
+
+    const std::string& name() const override { return inner_.name(); }
+    const ppl::ParamLayout& layout() const override { return inner_.layout(); }
+    std::size_t modeledDataBytes() const override { return 0; }
+
+    double logProb(const ppl::ParamView<double>& p) const override
+    {
+        g_fakeNow.fetch_add(kEvalSeconds);
+        return inner_.logProb(p);
+    }
+    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override
+    {
+        g_fakeNow.fetch_add(kEvalSeconds);
+        return inner_.logProb(p);
+    }
+
+  private:
+    const ppl::Model& inner_;
+};
+
+/**
+ * NUTS on `ad` (2 chains, seed 5) after a 3-iteration warmup: the step
+ * size stays rough, so chain 0 diverges on its first sampling iteration.
+ */
+Config
+roughNuts(int iterations)
+{
+    auto cfg = baseConfig(Algorithm::Nuts, iterations);
+    cfg.warmup = 3;
+    cfg.seed = 5;
+    return cfg;
+}
+
+/** Clock seconds an undeadlined run of @p cfg consumes. */
+double
+clockBudget(const ppl::Model& model, const Config& cfg)
+{
+    g_fakeNow.store(0.0);
+    run(model, cfg);
+    return g_fakeNow.load();
+}
+
+TEST(Samplers, FreeRunningDeadlineCutsEveryChainToTheShortest)
+{
+    const auto wl = workloads::makeWorkload("ad", 0.25);
+    const TickingModel model(*wl);
+    auto cfg = roughNuts(60);
+    cfg.execution = ExecutionPolicy::pool(cfg.chains);
+    auto sequential = cfg;
+    sequential.execution = ExecutionPolicy::sequential();
+    const auto warmup = static_cast<std::size_t>(cfg.resolvedWarmup());
+    const auto postWarmup = static_cast<std::size_t>(cfg.postWarmup());
+
+    support::ScopedClockSource fake(&fakeClock);
+    const double budget = clockBudget(model, cfg);
+    const auto full = run(model, cfg);
+    int midSampling = 0;
+    for (const double fraction : {0.0, 0.5, 0.8, 0.85, 0.9, 0.95, 1.0, 1.5}) {
+        SCOPED_TRACE(::testing::Message() << "deadline " << fraction
+                                          << " of the run");
+        g_fakeNow.store(0.0);
+        const auto got = runWithDeadline(model, cfg, fraction * budget);
+        const std::size_t draws = got.run.chains[0].draws.size();
+        EXPECT_TRUE(harness::identicalPrefix(got.run, full));
+        EXPECT_EQ(got.expired, draws < postWarmup);
+        if (got.expired && draws > 1)
+            ++midSampling;
+
+        // The kept prefix reports exactly what a Sequential run that a
+        // monitor stopped at the same draw count reports.
+        const auto stopAtDraws = [draws](const MonitorContext& ctx) {
+            return static_cast<std::size_t>(ctx.round) < draws
+                ? MonitorAction::Continue
+                : MonitorAction::Stop;
+        };
+        const auto stopped = run(model, sequential, stopAtDraws);
+        for (std::size_t c = 0; c < got.run.chains.size(); ++c) {
+            const ChainResult& chain = got.run.chains[c];
+            const ChainResult& ref = stopped.chains[c];
+            EXPECT_EQ(chain.draws.size(), draws);
+            EXPECT_EQ(chain.iterStats.size(), warmup + draws);
+            EXPECT_EQ(chain.iterStats, ref.iterStats);
+            EXPECT_TRUE(harness::sameBits(chain.acceptRate, ref.acceptRate));
+            EXPECT_EQ(chain.divergences, ref.divergences);
+        }
+    }
+    EXPECT_GT(midSampling, 0);
+}
+
+TEST(Samplers, DeadlineKeepsRoundsWhenChainsOutnumberWorkers)
+{
+    // pool(2) with 3 chains takes barrier rounds like Sequential, and
+    // the clock moves only with evaluations, so both stop at the same
+    // round. A free-running fallback would start the queued chain after
+    // the deadline and cut the run to one draw.
+    const auto wl = workloads::makeWorkload("ad", 0.25);
+    const TickingModel model(*wl);
+    auto cfg = roughNuts(60);
+    cfg.chains = 3;
+    support::ScopedClockSource fake(&fakeClock);
+    const double deadline = 0.9 * clockBudget(model, cfg);
+
+    g_fakeNow.store(0.0);
+    const auto sequential = runWithDeadline(model, cfg, deadline);
+    EXPECT_TRUE(sequential.expired);
+    EXPECT_GT(sequential.run.chains[0].draws.size(), 1u);
+
+    cfg.execution = ExecutionPolicy::pool(2);
+    g_fakeNow.store(0.0);
+    const auto pooled = runWithDeadline(model, cfg, deadline);
+    EXPECT_TRUE(pooled.expired);
+    EXPECT_TRUE(harness::identicalRuns(pooled.run, sequential.run));
+}
+
+TEST(Samplers, DivergencesCountEveryPostWarmupTransition)
+{
+    // The first sampling iteration's divergence counts too.
+    const auto wl = workloads::makeWorkload("ad", 0.25);
+    const auto cfg = roughNuts(30);
+    for (const auto& chain : run(*wl, cfg).chains) {
+        const auto flagged = std::count_if(
+            chain.iterStats.begin() + cfg.warmup, chain.iterStats.end(),
+            [](const IterationStat& s) { return s.divergent; });
+        EXPECT_EQ(chain.divergences, static_cast<std::uint64_t>(flagged));
+    }
 }
 
 TEST(Samplers, ExecutionModeNames)

@@ -47,8 +47,8 @@ def rule_r008(files, findings, _ctx):
     """Calling the K=1 gradient wrapper in a loop re-streams the observed
     data once per iteration — exactly the pattern the batched surface
     (Evaluator::logProbGradBatch) replaces. The sampler layer is exempt:
-    its per-iteration loops are the Markov chains themselves and the
-    batching there happens in the pooled executor."""
+    its per-iteration loops are the Markov chains themselves, and each
+    chain has only one point to evaluate at a time."""
     for sf in files:
         if not in_dirs(sf.relpath, "src"):
             continue
