@@ -177,88 +177,6 @@ BM_PoissonLogGlmFused(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 
-// ---------------------------------------------------------------------
-// Batched SoA kernels: the fused likelihoods above, evaluated for K
-// parameter points in one pass over the shared observations. Wall time
-// vs K shows the amortization; `data_bytes_per_eval` is the observed
-// data streamed per lane (total bytes / K) — the quantity the EvalBatch
-// surface exists to shrink.
-// ---------------------------------------------------------------------
-
-void
-BM_NormalLpdfFusedBatch(benchmark::State& state)
-{
-    const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-    const auto ys = observations(1024);
-    ad::Tape tape;
-    for (auto _ : state) {
-        tape.clear();
-        std::vector<ad::Var> mus, sigmas;
-        for (std::size_t k = 0; k < lanes; ++k) {
-            mus.push_back(ad::leaf(tape, 0.3 + 0.01 * static_cast<double>(k)));
-            sigmas.push_back(ad::leaf(tape, 1.1));
-        }
-        std::vector<ad::Var> lp(lanes);
-        normal_lpdf_vec_batch(std::span<const double>(ys),
-                              std::span<const ad::Var>(mus),
-                              std::span<const ad::Var>(sigmas),
-                              std::span<ad::Var>(lp));
-        std::vector<ad::NodeId> outs(lanes);
-        for (std::size_t k = 0; k < lanes; ++k)
-            outs[k] = lp[k].id();
-        std::vector<double> adj;
-        tape.gradient(outs, adj);
-        benchmark::DoNotOptimize(adj.data());
-    }
-    state.counters["tape_nodes"] = static_cast<double>(tape.size());
-    state.counters["data_bytes_per_eval"] = static_cast<double>(
-        ys.size() * sizeof(double) / lanes);
-    state.SetItemsProcessed(state.iterations()
-                            * static_cast<std::int64_t>(1024 * lanes));
-}
-
-void
-BM_BernoulliLogitGlmFusedBatch(benchmark::State& state)
-{
-    const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-    const std::size_t n = 1024, numK = 4;
-    Rng rng(43);
-    std::vector<double> x(n * numK);
-    for (auto& v : x)
-        v = rng.normal(0.0, 1.0);
-    std::vector<int> ys(n);
-    for (std::size_t i = 0; i < n; ++i)
-        ys[i] = static_cast<int>(i & 1);
-    ad::Tape tape;
-    for (auto _ : state) {
-        tape.clear();
-        std::vector<ad::Var> alphas, betas;
-        for (std::size_t k = 0; k < lanes; ++k) {
-            alphas.push_back(ad::leaf(tape, 0.4));
-            for (std::size_t j = 0; j < numK; ++j)
-                betas.push_back(
-                    ad::leaf(tape, 0.1 * static_cast<double>(j)));
-        }
-        std::vector<ad::Var> lp(lanes);
-        bernoulli_logit_glm_lpmf_batch(std::span<const int>(ys),
-                                       std::span<const double>(x),
-                                       std::span<const ad::Var>(alphas),
-                                       std::span<const ad::Var>(betas),
-                                       numK, std::span<ad::Var>(lp));
-        std::vector<ad::NodeId> outs(lanes);
-        for (std::size_t k = 0; k < lanes; ++k)
-            outs[k] = lp[k].id();
-        std::vector<double> adj;
-        tape.gradient(outs, adj);
-        benchmark::DoNotOptimize(adj.data());
-    }
-    state.counters["tape_nodes"] = static_cast<double>(tape.size());
-    state.counters["data_bytes_per_eval"] = static_cast<double>(
-        (x.size() * sizeof(double) + ys.size() * sizeof(int)) / lanes);
-    state.SetItemsProcessed(state.iterations()
-                            * static_cast<std::int64_t>(1024 * lanes));
-}
-
 } // namespace
 
 BENCHMARK(BM_NormalLpdfDouble);
@@ -268,5 +186,3 @@ BENCHMARK(BM_PoissonLogTaped);
 BENCHMARK(BM_NormalLpdfFused);
 BENCHMARK(BM_BernoulliLogitGlmFused);
 BENCHMARK(BM_PoissonLogGlmFused);
-BENCHMARK(BM_NormalLpdfFusedBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-BENCHMARK(BM_BernoulliLogitGlmFusedBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

@@ -1,7 +1,5 @@
 #include "ad/tape.hpp"
 
-#include <algorithm>
-
 namespace bayes::ad {
 
 NodeId
@@ -32,61 +30,14 @@ Tape::pushWide(std::span<const NodeId> parents,
     return id;
 }
 
-NodeId
-Tape::pushWideBatch(std::span<const NodeId> parents,
-                    std::span<const double> weights, std::uint32_t lanes,
-                    OpClass cls)
-{
-    BAYES_CHECK(parents.size() == weights.size(),
-                "pushWideBatch: parents/weights size mismatch");
-    BAYES_CHECK(lanes > 0 && parents.size() % lanes == 0,
-                "pushWideBatch: edge count not a multiple of lanes");
-    BAYES_ASSERT(nodes_.size() + lanes < static_cast<std::size_t>(kWideNode));
-    BAYES_ASSERT(edges_.size() + parents.size()
-                 <= static_cast<std::size_t>(kWideNode));
-    const auto perLane = static_cast<std::uint32_t>(parents.size() / lanes);
-    const auto begin = static_cast<std::uint32_t>(edges_.size());
-    for (std::size_t k = 0; k < parents.size(); ++k) {
-        BAYES_ASSERT(parents[k] < nodes_.size());
-        edges_.push_back(Edge{parents[k], weights[k]});
-        if (probe_)
-            probe_->access(&edges_.back(), sizeof(Edge), true);
-    }
-    const NodeId firstId = static_cast<NodeId>(nodes_.size());
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        const auto span = static_cast<NodeId>(wideSpans_.size());
-        wideSpans_.push_back(
-            WideSpan{begin + l * perLane, perLane, l, lanes});
-        const NodeId id = static_cast<NodeId>(nodes_.size());
-        nodes_.push_back(Node{{0.0, 0.0}, {kWideNode, span}});
-        ++totalOps_;
-        ++opCounts_[static_cast<std::size_t>(cls)];
-        if (probe_)
-            probe_->access(&nodes_[id], sizeof(Node), true);
-    }
-    return firstId;
-}
-
 void
 Tape::gradient(NodeId output, std::vector<double>& out)
 {
-    gradient(std::span<const NodeId>(&output, 1), out);
-}
-
-void
-Tape::gradient(std::span<const NodeId> outputs, std::vector<double>& out)
-{
-    BAYES_CHECK(!outputs.empty(), "gradient needs at least one output");
-    NodeId top = 0;
-    for (const NodeId o : outputs) {
-        BAYES_CHECK(o < nodes_.size(), "gradient of unknown node");
-        top = std::max(top, o);
-    }
+    BAYES_CHECK(output < nodes_.size(), "gradient of unknown node");
     out.assign(nodes_.size(), 0.0);
-    for (const NodeId o : outputs)
-        out[o] = 1.0;
+    out[output] = 1.0;
     lastAdjointCount_ = out.capacity();
-    for (NodeId i = top + 1; i-- > 0;) {
+    for (NodeId i = output + 1; i-- > 0;) {
         const double adj = out[i];
         if (probe_)
             probe_->access(&out[i], sizeof(double), false);

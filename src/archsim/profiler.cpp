@@ -48,7 +48,6 @@ profileWorkload(const ppl::Model& model, int chains, int warmupIters,
         TraceCapture capture;
         eval.tape().setProbe(&capture);
         std::vector<double> grad;
-        // bayes-lint: allow(R008): independent per-chain traces are the point here; profileBatchedEval is the batched twin
         eval.logProbGrad(z.q, grad);
         eval.tape().setProbe(nullptr);
 
@@ -61,52 +60,6 @@ profileWorkload(const ppl::Model& model, int chains, int warmupIters,
         profile.chains.push_back(std::move(ep));
     }
     return profile;
-}
-
-EvalProfile
-profileBatchedEval(const ppl::Model& model, int lanes, int warmupIters,
-                   std::uint64_t seed, bool scalarLikelihood)
-{
-    BAYES_CHECK(lanes >= 1, "need at least one lane to profile");
-    ppl::Evaluator eval(model);
-    eval.setScalarLikelihood(scalarLikelihood);
-
-    // Adapt every lane to its own representative position, as the
-    // pooled chains it stands for would be after warmup.
-    Rng master(seed);
-    ppl::EvalBatch batch(eval.dim(), static_cast<std::size_t>(lanes));
-    for (int l = 0; l < lanes; ++l) {
-        Rng rng = master.fork();
-        samplers::Hamiltonian ham(eval);
-        samplers::NutsSampler nuts(ham, /*maxTreeDepth=*/8);
-        samplers::PhasePoint z;
-        z.q = samplers::findInitialPoint(eval, rng);
-        ham.refresh(z);
-        samplers::DualAveraging da(ham.findReasonableStepSize(z, rng), 0.8);
-        nuts.setStepSize(da.stepSize());
-        for (int t = 0; t < warmupIters; ++t) {
-            const auto tr = nuts.transition(z, rng);
-            da.update(tr.acceptStat);
-            nuts.setStepSize(da.stepSize());
-        }
-        batch.setPoint(static_cast<std::size_t>(l), z.q);
-    }
-
-    // Capture exactly one instrumented K-lane batched evaluation.
-    TraceCapture capture;
-    eval.tape().setProbe(&capture);
-    std::vector<double> lp(static_cast<std::size_t>(lanes));
-    ppl::EvalBatch grads;
-    eval.logProbGradBatch(batch, lp, grads);
-    eval.tape().setProbe(nullptr);
-
-    EvalProfile ep;
-    ep.trace = capture.trace();
-    ep.tapeNodes = eval.lastTapeNodes();
-    ep.opCounts = eval.tape().opCounts();
-    ep.dim = eval.dim();
-    ep.dataBytes = model.modeledDataBytes();
-    return ep;
 }
 
 } // namespace bayes::archsim

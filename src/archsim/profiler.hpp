@@ -54,17 +54,4 @@ WorkloadProfile profileWorkload(const ppl::Model& model, int chains,
                                 std::uint64_t seed = 20190331,
                                 bool scalarLikelihood = false);
 
-/**
- * Profile one K-lane batched gradient evaluation
- * (Evaluator::logProbGradBatch): each lane is adapted to its own
- * representative point, then a single instrumented evaluation serves
- * all lanes through one shared evaluator — the trace shows one data
- * pass where profileWorkload's per-chain traces show K. The batched
- * counterpart of one chain's EvalProfile.
- */
-EvalProfile profileBatchedEval(const ppl::Model& model, int lanes,
-                               int warmupIters = 30,
-                               std::uint64_t seed = 20190331,
-                               bool scalarLikelihood = false);
-
 } // namespace bayes::archsim

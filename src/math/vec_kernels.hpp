@@ -34,17 +34,6 @@
 
 #include "math/functions.hpp"
 
-/**
- * Restrict qualifier for the batched kernels' hot pointers: promises
- * the SoA lane buffers do not alias the design matrix, which is what
- * lets the compiler vectorize the lane-inner loops.
- */
-#if defined(__GNUC__) || defined(__clang__)
-#define BAYES_RESTRICT __restrict__
-#else
-#define BAYES_RESTRICT
-#endif
-
 namespace bayes::math {
 
 namespace detail {
@@ -101,74 +90,6 @@ values(std::span<const T> xs)
         out[i] = valueOf(xs[i]);
     return out;
 }
-
-/**
- * Batched counterpart of WideTerm: collects the {parent, weight} edges
- * of K lanes' fused terms (lane-major, every lane contributing the same
- * parameters in the same order) and emits them as one
- * ad::Tape::pushWideBatch call — K consecutive nodes over one
- * contiguous edge block.
- */
-class BatchWideTerm
-{
-  public:
-    explicit BatchWideTerm(std::size_t lanes) : lanes_(lanes) {}
-
-    void
-    reserve(std::size_t perLane)
-    {
-        parents_.reserve(lanes_ * perLane);
-        weights_.reserve(lanes_ * perLane);
-    }
-
-    void
-    edge(const ad::Var& v, double weight)
-    {
-        if (!v.tracked())
-            return;
-        tape_ = v.tape();
-        parents_.push_back(v.id());
-        weights_.push_back(weight);
-    }
-
-    void edge(double, double) {}
-
-    /** Emit the batch; lane k of @p out becomes the node id + k. */
-    template <typename TOut>
-    void
-    emit(std::span<const double> values, std::span<TOut> out,
-         ad::OpClass cls = ad::OpClass::Special) const
-    {
-        BAYES_ASSERT(values.size() == lanes_ && out.size() == lanes_);
-        if constexpr (std::is_same_v<TOut, ad::Var>) {
-            if (!tape_) {
-                for (std::size_t k = 0; k < lanes_; ++k)
-                    out[k] = ad::Var(values[k]);
-                return;
-            }
-            // Untracked parameters are skipped per edge() call, so a
-            // uniform parameter structure across lanes is required for
-            // the lane-major block to line up.
-            BAYES_CHECK(parents_.size() % lanes_ == 0,
-                        "batched term has ragged lane edge counts");
-            const ad::NodeId base = tape_->pushWideBatch(
-                parents_, weights_, static_cast<std::uint32_t>(lanes_),
-                cls);
-            for (std::size_t k = 0; k < lanes_; ++k)
-                out[k] = ad::Var(tape_, values[k],
-                                 base + static_cast<ad::NodeId>(k));
-        } else {
-            for (std::size_t k = 0; k < lanes_; ++k)
-                out[k] = values[k];
-        }
-    }
-
-  private:
-    std::size_t lanes_;
-    std::vector<ad::NodeId> parents_;
-    std::vector<double> weights_;
-    ad::Tape* tape_ = nullptr;
-};
 
 } // namespace detail
 
@@ -664,417 +585,6 @@ dot_vec(std::span<const double> vs, std::span<const double> ws)
     for (std::size_t i = 0; i < vs.size(); ++i)
         value += ws[i] * vs[i];
     return value;
-}
-
-// ---------------------------------------------------------------------
-// Batched SoA kernels: K parameter lanes, one pass over the shared data
-//
-// Each *_batch kernel evaluates K independent parameter points against
-// the same observed data in a single pass. Parameter lanes arrive
-// lane-major (lane k's coefficients contiguous at [k*numK, (k+1)*numK))
-// and are transposed into coordinate-major SoA value buffers, so the
-// hot loops run data-outer / lane-inner over restrict-qualified,
-// branch-free strides and auto-vectorize across lanes.
-//
-// Per lane, every accumulator is updated by exactly the arithmetic of
-// the single-point kernel above, in the same order — vectorizing across
-// lanes never reorders a lane's own floating-point chain — so lane k's
-// value and adjoint weights are bitwise identical to a single-point
-// call at that lane's parameters. The adjoints of all K lanes are
-// recorded as one ad::Tape::pushWideBatch block.
-// ---------------------------------------------------------------------
-
-/**
- * Batched normal_lpdf_vec over a data vector: lane k sums
- * normal_lpdf(y_i, mus[k], sigmas[k]) over all i in one pass over ys.
- */
-template <typename TMu, typename TSigma>
-void
-normal_lpdf_vec_batch(std::span<const double> ys,
-                      std::span<const TMu> mus,
-                      std::span<const TSigma> sigmas,
-                      std::span<promote_t<TMu, TSigma>> out)
-{
-    using R = promote_t<TMu, TSigma>;
-    const std::size_t lanes = out.size();
-    BAYES_ASSERT(mus.size() == lanes && sigmas.size() == lanes);
-    const std::vector<double> muV = detail::values(mus);
-    std::vector<double> inv(lanes);
-    for (std::size_t k = 0; k < lanes; ++k)
-        inv[k] = 1.0 / valueOf(sigmas[k]);
-    const double n = static_cast<double>(ys.size());
-    std::vector<double> s1(lanes, 0.0), s2(lanes, 0.0);
-    {
-        const double* BAYES_RESTRICT mv = muV.data();
-        double* BAYES_RESTRICT a1 = s1.data();
-        double* BAYES_RESTRICT a2 = s2.data();
-        for (const double y : ys) {
-            for (std::size_t k = 0; k < lanes; ++k) {
-                const double d = y - mv[k];
-                a1[k] += d;
-                a2[k] += d * d;
-            }
-        }
-    }
-    std::vector<double> value(lanes);
-    for (std::size_t k = 0; k < lanes; ++k)
-        value[k] = -0.5 * s2[k] * inv[k] * inv[k]
-            - n * (std::log(valueOf(sigmas[k])) + kLogSqrtTwoPi);
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::BatchWideTerm t(lanes);
-        t.reserve(2);
-        for (std::size_t k = 0; k < lanes; ++k) {
-            t.edge(mus[k], s1[k] * inv[k] * inv[k]);
-            t.edge(sigmas[k],
-                   s2[k] * inv[k] * inv[k] * inv[k] - n * inv[k]);
-        }
-        t.emit(value, out);
-    } else {
-        for (std::size_t k = 0; k < lanes; ++k)
-            out[k] = value[k];
-    }
-}
-
-/**
- * Batched Bernoulli-logit GLM: lane k evaluates
- * bernoulli_logit_glm_lpmf(ys, x, alphas[k], betas lane k) — K
- * intercept/coefficient sets against one pass over the design matrix.
- * @param betas  lane-major coefficients, lane k at [k*numK, (k+1)*numK)
- */
-template <typename TAlpha, typename TBeta>
-void
-bernoulli_logit_glm_lpmf_batch(std::span<const int> ys,
-                               std::span<const double> x,
-                               std::span<const TAlpha> alphas,
-                               std::span<const TBeta> betas,
-                               std::size_t numK,
-                               std::span<promote_t<TAlpha, TBeta>> out)
-{
-    using R = promote_t<TAlpha, TBeta>;
-    const std::size_t lanes = out.size();
-    const std::size_t n = ys.size();
-    BAYES_ASSERT(alphas.size() == lanes && betas.size() == lanes * numK);
-    BAYES_ASSERT(x.size() == n * numK);
-    const std::vector<double> alphaV = detail::values(alphas);
-    std::vector<double> betaV(numK * lanes); // SoA: [coef][lane]
-    for (std::size_t k = 0; k < lanes; ++k)
-        for (std::size_t j = 0; j < numK; ++j)
-            betaV[j * lanes + k] = valueOf(betas[k * numK + j]);
-    std::vector<double> value(lanes, 0.0), eta(lanes), r;
-    std::vector<double> dAlpha, dBeta;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        r.resize(lanes);
-        dAlpha.assign(lanes, 0.0);
-        dBeta.assign(numK * lanes, 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* BAYES_RESTRICT row = x.data() + i * numK;
-        double* BAYES_RESTRICT e = eta.data();
-        for (std::size_t k = 0; k < lanes; ++k)
-            e[k] = alphaV[k];
-        for (std::size_t j = 0; j < numK; ++j) {
-            const double xj = row[j];
-            const double* BAYES_RESTRICT bj = betaV.data() + j * lanes;
-            for (std::size_t k = 0; k < lanes; ++k)
-                e[k] += bj[k] * xj;
-        }
-        const int y = ys[i];
-        for (std::size_t k = 0; k < lanes; ++k)
-            value[k] += y ? -log1pExp(-e[k]) : -log1pExp(e[k]);
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            double* BAYES_RESTRICT rr = r.data();
-            for (std::size_t k = 0; k < lanes; ++k)
-                rr[k] = static_cast<double>(y) - invLogit(e[k]);
-            double* BAYES_RESTRICT da = dAlpha.data();
-            for (std::size_t k = 0; k < lanes; ++k)
-                da[k] += rr[k];
-            for (std::size_t j = 0; j < numK; ++j) {
-                const double xj = row[j];
-                double* BAYES_RESTRICT dbj = dBeta.data() + j * lanes;
-                for (std::size_t k = 0; k < lanes; ++k)
-                    dbj[k] += rr[k] * xj;
-            }
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::BatchWideTerm t(lanes);
-        t.reserve(1 + numK);
-        for (std::size_t k = 0; k < lanes; ++k) {
-            t.edge(alphas[k], dAlpha[k]);
-            for (std::size_t j = 0; j < numK; ++j)
-                t.edge(betas[k * numK + j], dBeta[j * lanes + k]);
-        }
-        t.emit(value, out);
-    } else {
-        for (std::size_t k = 0; k < lanes; ++k)
-            out[k] = value[k];
-    }
-}
-
-/**
- * Batched Poisson log-link GLM with varying intercepts and a data
- * offset — K lanes of poisson_log_glm_lpmf against one pass over the
- * design matrix.
- * @param alphas  lane-major intercepts, lane k at [k*numAlpha, ...)
- * @param betas   lane-major coefficients, lane k at [k*numK, ...)
- */
-template <typename TAlpha, typename TBeta>
-void
-poisson_log_glm_lpmf_batch(std::span<const long> ys,
-                           std::span<const double> x,
-                           std::span<const int> group,
-                           std::span<const double> offset,
-                           std::span<const TAlpha> alphas,
-                           std::size_t numAlpha,
-                           std::span<const TBeta> betas, std::size_t numK,
-                           std::span<promote_t<TAlpha, TBeta>> out)
-{
-    using R = promote_t<TAlpha, TBeta>;
-    const std::size_t lanes = out.size();
-    const std::size_t n = ys.size();
-    BAYES_ASSERT(alphas.size() == lanes * numAlpha && numAlpha > 0);
-    BAYES_ASSERT(betas.size() == lanes * numK);
-    BAYES_ASSERT(x.size() == n * numK);
-    BAYES_ASSERT(group.empty() || group.size() >= n);
-    BAYES_ASSERT(offset.empty() || offset.size() >= n);
-    std::vector<double> alphaV(numAlpha * lanes); // SoA: [intercept][lane]
-    for (std::size_t k = 0; k < lanes; ++k)
-        for (std::size_t a = 0; a < numAlpha; ++a)
-            alphaV[a * lanes + k] = valueOf(alphas[k * numAlpha + a]);
-    std::vector<double> betaV(numK * lanes); // SoA: [coef][lane]
-    for (std::size_t k = 0; k < lanes; ++k)
-        for (std::size_t j = 0; j < numK; ++j)
-            betaV[j * lanes + k] = valueOf(betas[k * numK + j]);
-    std::vector<double> value(lanes, 0.0), eta(lanes), r;
-    std::vector<double> dAlpha, dBeta;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        r.resize(lanes);
-        dAlpha.assign(numAlpha * lanes, 0.0);
-        dBeta.assign(numK * lanes, 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g =
-            group.empty() ? 0 : static_cast<std::size_t>(group[i]);
-        const double* BAYES_RESTRICT row = x.data() + i * numK;
-        double* BAYES_RESTRICT e = eta.data();
-        const double* BAYES_RESTRICT ag = alphaV.data() + g * lanes;
-        for (std::size_t k = 0; k < lanes; ++k)
-            e[k] = ag[k];
-        for (std::size_t j = 0; j < numK; ++j) {
-            const double xj = row[j];
-            const double* BAYES_RESTRICT bj = betaV.data() + j * lanes;
-            for (std::size_t k = 0; k < lanes; ++k)
-                e[k] += bj[k] * xj;
-        }
-        if (!offset.empty()) {
-            const double o = offset[i];
-            for (std::size_t k = 0; k < lanes; ++k)
-                e[k] += o;
-        }
-        const double ky = static_cast<double>(ys[i]);
-        const double lg = lgammaSafe(ky + 1.0);
-        for (std::size_t k = 0; k < lanes; ++k)
-            value[k] += ky * e[k] - std::exp(e[k]) - lg;
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            double* BAYES_RESTRICT rr = r.data();
-            for (std::size_t k = 0; k < lanes; ++k)
-                rr[k] = ky - std::exp(e[k]);
-            double* BAYES_RESTRICT dag = dAlpha.data() + g * lanes;
-            for (std::size_t k = 0; k < lanes; ++k)
-                dag[k] += rr[k];
-            for (std::size_t j = 0; j < numK; ++j) {
-                const double xj = row[j];
-                double* BAYES_RESTRICT dbj = dBeta.data() + j * lanes;
-                for (std::size_t k = 0; k < lanes; ++k)
-                    dbj[k] += rr[k] * xj;
-            }
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::BatchWideTerm t(lanes);
-        t.reserve(numAlpha + numK);
-        for (std::size_t k = 0; k < lanes; ++k) {
-            for (std::size_t a = 0; a < numAlpha; ++a)
-                t.edge(alphas[k * numAlpha + a], dAlpha[a * lanes + k]);
-            for (std::size_t j = 0; j < numK; ++j)
-                t.edge(betas[k * numK + j], dBeta[j * lanes + k]);
-        }
-        t.emit(value, out);
-    } else {
-        for (std::size_t k = 0; k < lanes; ++k)
-            out[k] = value[k];
-    }
-}
-
-/**
- * Batched normal identity-link GLM: K lanes of normal_id_glm_lpdf
- * against one pass over the design matrix.
- * @param betas  lane-major coefficients, lane k at [k*numK, ...)
- */
-template <typename TAlpha, typename TBeta, typename TSigma>
-void
-normal_id_glm_lpdf_batch(std::span<const double> ys,
-                         std::span<const double> x,
-                         std::span<const TAlpha> alphas,
-                         std::span<const TBeta> betas, std::size_t numK,
-                         std::span<const TSigma> sigmas,
-                         std::span<promote_t<TAlpha, TBeta, TSigma>> out)
-{
-    using R = promote_t<TAlpha, TBeta, TSigma>;
-    const std::size_t lanes = out.size();
-    const std::size_t n = ys.size();
-    BAYES_ASSERT(alphas.size() == lanes && sigmas.size() == lanes);
-    BAYES_ASSERT(betas.size() == lanes * numK);
-    BAYES_ASSERT(x.size() == n * numK);
-    const std::vector<double> alphaV = detail::values(alphas);
-    std::vector<double> inv(lanes), logSigma(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-        inv[k] = 1.0 / valueOf(sigmas[k]);
-        logSigma[k] = std::log(valueOf(sigmas[k]));
-    }
-    std::vector<double> betaV(numK * lanes); // SoA: [coef][lane]
-    for (std::size_t k = 0; k < lanes; ++k)
-        for (std::size_t j = 0; j < numK; ++j)
-            betaV[j * lanes + k] = valueOf(betas[k * numK + j]);
-    std::vector<double> value(lanes, 0.0), mu(lanes);
-    std::vector<double> dAlpha, dBeta, dSigma;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        dAlpha.assign(lanes, 0.0);
-        dBeta.assign(numK * lanes, 0.0);
-        dSigma.assign(lanes, 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* BAYES_RESTRICT row = x.data() + i * numK;
-        double* BAYES_RESTRICT m = mu.data();
-        for (std::size_t k = 0; k < lanes; ++k)
-            m[k] = alphaV[k];
-        for (std::size_t j = 0; j < numK; ++j) {
-            const double xj = row[j];
-            const double* BAYES_RESTRICT bj = betaV.data() + j * lanes;
-            for (std::size_t k = 0; k < lanes; ++k)
-                m[k] += bj[k] * xj;
-        }
-        const double y = ys[i];
-        // Reuse mu as the standardized residual z from here on.
-        for (std::size_t k = 0; k < lanes; ++k)
-            m[k] = (y - m[k]) * inv[k];
-        for (std::size_t k = 0; k < lanes; ++k)
-            value[k] += -0.5 * m[k] * m[k] - logSigma[k] - kLogSqrtTwoPi;
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            double* BAYES_RESTRICT da = dAlpha.data();
-            double* BAYES_RESTRICT ds = dSigma.data();
-            for (std::size_t k = 0; k < lanes; ++k)
-                da[k] += m[k] * inv[k];
-            for (std::size_t j = 0; j < numK; ++j) {
-                const double xj = row[j];
-                double* BAYES_RESTRICT dbj = dBeta.data() + j * lanes;
-                for (std::size_t k = 0; k < lanes; ++k)
-                    dbj[k] += m[k] * inv[k] * xj;
-            }
-            for (std::size_t k = 0; k < lanes; ++k)
-                ds[k] += (m[k] * m[k] - 1.0) * inv[k];
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::BatchWideTerm t(lanes);
-        t.reserve(numK + 2);
-        for (std::size_t k = 0; k < lanes; ++k) {
-            t.edge(alphas[k], dAlpha[k]);
-            for (std::size_t j = 0; j < numK; ++j)
-                t.edge(betas[k * numK + j], dBeta[j * lanes + k]);
-            t.edge(sigmas[k], dSigma[k]);
-        }
-        t.emit(value, out);
-    } else {
-        for (std::size_t k = 0; k < lanes; ++k)
-            out[k] = value[k];
-    }
-}
-
-/**
- * Batched rescaled Bernoulli-logit GLM: K lanes of
- * bernoulli_logit_scaled_glm_lpmf against one pass over the design
- * matrix.
- * @param ws  lane-major weights, lane k at [k*numK, ...)
- */
-template <typename TW, typename TScale, typename TShift>
-void
-bernoulli_logit_scaled_glm_lpmf_batch(
-    std::span<const int> ys, std::span<const double> x,
-    std::span<const TW> ws, std::size_t numK,
-    std::span<const TScale> scales, std::span<const TShift> shifts,
-    std::span<promote_t<TW, TScale, TShift>> out)
-{
-    using R = promote_t<TW, TScale, TShift>;
-    const std::size_t lanes = out.size();
-    const std::size_t n = ys.size();
-    BAYES_ASSERT(scales.size() == lanes && shifts.size() == lanes);
-    BAYES_ASSERT(ws.size() == lanes * numK);
-    BAYES_ASSERT(x.size() == n * numK);
-    const std::vector<double> scaleV = detail::values(scales);
-    const std::vector<double> shiftV = detail::values(shifts);
-    std::vector<double> wV(numK * lanes); // SoA: [weight][lane]
-    for (std::size_t k = 0; k < lanes; ++k)
-        for (std::size_t j = 0; j < numK; ++j)
-            wV[j * lanes + k] = valueOf(ws[k * numK + j]);
-    std::vector<double> value(lanes, 0.0), score(lanes), r;
-    std::vector<double> dW, dScale, dShift;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        r.resize(lanes);
-        dW.assign(numK * lanes, 0.0);
-        dScale.assign(lanes, 0.0);
-        dShift.assign(lanes, 0.0);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* BAYES_RESTRICT row = x.data() + i * numK;
-        double* BAYES_RESTRICT sc = score.data();
-        for (std::size_t k = 0; k < lanes; ++k)
-            sc[k] = 0.0;
-        for (std::size_t j = 0; j < numK; ++j) {
-            const double xj = row[j];
-            const double* BAYES_RESTRICT wj = wV.data() + j * lanes;
-            for (std::size_t k = 0; k < lanes; ++k)
-                sc[k] += wj[k] * xj;
-        }
-        const int y = ys[i];
-        for (std::size_t k = 0; k < lanes; ++k) {
-            const double etaK = scaleV[k] * (sc[k] - shiftV[k]);
-            value[k] += y ? -log1pExp(-etaK) : -log1pExp(etaK);
-        }
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            double* BAYES_RESTRICT rr = r.data();
-            for (std::size_t k = 0; k < lanes; ++k) {
-                const double etaK = scaleV[k] * (sc[k] - shiftV[k]);
-                rr[k] = static_cast<double>(y) - invLogit(etaK);
-            }
-            for (std::size_t j = 0; j < numK; ++j) {
-                const double xj = row[j];
-                double* BAYES_RESTRICT dwj = dW.data() + j * lanes;
-                for (std::size_t k = 0; k < lanes; ++k)
-                    dwj[k] += rr[k] * scaleV[k] * xj;
-            }
-            double* BAYES_RESTRICT dsc = dScale.data();
-            double* BAYES_RESTRICT dsh = dShift.data();
-            for (std::size_t k = 0; k < lanes; ++k) {
-                dsc[k] += rr[k] * (sc[k] - shiftV[k]);
-                dsh[k] -= rr[k] * scaleV[k];
-            }
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::BatchWideTerm t(lanes);
-        t.reserve(numK + 2);
-        for (std::size_t k = 0; k < lanes; ++k) {
-            for (std::size_t j = 0; j < numK; ++j)
-                t.edge(ws[k * numK + j], dW[j * lanes + k]);
-            t.edge(scales[k], dScale[k]);
-            t.edge(shifts[k], dShift[k]);
-        }
-        t.emit(value, out);
-    } else {
-        for (std::size_t k = 0; k < lanes; ++k)
-            out[k] = value[k];
-    }
 }
 
 } // namespace bayes::math

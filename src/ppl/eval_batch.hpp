@@ -1,15 +1,8 @@
 /**
  * @file
- * SoA block of K unconstrained parameter points — the unit of work of
- * the batched evaluation surface (Evaluator::logProbBatch /
- * logProbGradBatch).
- *
- * Storage is coordinate-major: all K lanes' values of coordinate d are
- * contiguous at [d*K, (d+1)*K). That makes the per-coordinate lane
- * spans unit-stride, which is what the batched math kernels and the
- * constraining transforms want to auto-vectorize across lanes, and it
- * is the natural layout for a K×D gradient block written one
- * coordinate at a time.
+ * Block of K unconstrained parameter points — the argument of
+ * Evaluator::logProbBatch / logProbGradBatch, which evaluate the lanes
+ * one at a time.
  */
 #pragma once
 
@@ -21,7 +14,7 @@
 
 namespace bayes::ppl {
 
-/** K unconstrained points of dimension D, stored coordinate-major. */
+/** K unconstrained points of dimension D. */
 class EvalBatch
 {
   public:
@@ -61,22 +54,6 @@ class EvalBatch
         return data_[d * lanes_ + k];
     }
 
-    /** All K lanes' values of coordinate @p d (unit stride). */
-    std::span<double>
-    coord(std::size_t d)
-    {
-        BAYES_ASSERT(d < dim_);
-        return {data_.data() + d * lanes_, lanes_};
-    }
-
-    /** All K lanes' values of coordinate @p d (unit stride). */
-    std::span<const double>
-    coord(std::size_t d) const
-    {
-        BAYES_ASSERT(d < dim_);
-        return {data_.data() + d * lanes_, lanes_};
-    }
-
     /** Scatter a flat D-dim point into lane @p k. */
     void
     setPoint(std::size_t k, std::span<const double> q)
@@ -97,9 +74,6 @@ class EvalBatch
         for (std::size_t d = 0; d < dim_; ++d)
             q[d] = data_[d * lanes_ + k];
     }
-
-    /** Raw coordinate-major storage, size dim()*lanes(). */
-    std::span<const double> data() const { return data_; }
 
   private:
     std::size_t dim_ = 0;

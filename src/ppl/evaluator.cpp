@@ -7,15 +7,13 @@
 namespace bayes::ppl {
 namespace {
 
-/** Per-eval tape/batch gauges (see docs/observability.md). */
+/** Per-eval tape gauges (see docs/observability.md). */
 struct TapeMetrics
 {
     obs::Gauge& nodesPerEval =
         obs::Registry::global().gauge("tape.nodes_per_eval");
     obs::Gauge& bytesPerEval =
         obs::Registry::global().gauge("tape.bytes_per_eval");
-    obs::Gauge& batchWidth =
-        obs::Registry::global().gauge("eval.batch_width");
 
     static TapeMetrics&
     get()
@@ -59,7 +57,74 @@ Evaluator::Evaluator(const Model& model)
     : model_(&model), layout_(&model.layout()),
       dataShadow_(model.modeledDataBytes(), 0)
 {
-    scratchQ_.resize(layout_->dim(), 1);
+}
+
+double
+Evaluator::logProb(const std::vector<double>& q)
+{
+    BAYES_CHECK(q.size() == dim(), "point has wrong dimension");
+    ++numEvals_;
+    try {
+        double logJ = 0.0;
+        const std::vector<double> x = constrainAll(*layout_, q, logJ);
+        const ParamView<double> view(*layout_, x);
+        const double lp = scalarLikelihood_ ? model_->logProbScalar(view)
+                                            : model_->logProb(view);
+        // -inf + finite Jacobian stays -inf: an infeasible point keeps
+        // zero density no matter its transform terms.
+        return lp + logJ;
+    } catch (const Error&) {
+        return -INFINITY;
+    }
+}
+
+double
+Evaluator::logProbGrad(const std::vector<double>& q,
+                       std::vector<double>& grad)
+{
+    BAYES_CHECK(q.size() == dim(), "point has wrong dimension");
+    ++numGradEvals_;
+    tape_.clear();
+    // Pre-size to the previous eval's footprint so the arenas do not
+    // re-grow (and memcpy) mid-record.
+    tape_.reserve(reserveNodes_, reserveEdges_);
+
+    std::vector<ad::Var> u(dim());
+    ad::Var lpVar(-INFINITY);
+    try {
+        for (std::size_t i = 0; i < dim(); ++i)
+            u[i] = ad::leaf(tape_, q[i]);
+        ad::Var logJ = 0.0;
+        const std::vector<ad::Var> x = constrainAll(*layout_, u, logJ);
+        streamDataShadow();
+        const ParamView<ad::Var> view(*layout_, x);
+        lpVar = (scalarLikelihood_ ? model_->logProbScalar(view)
+                                   : model_->logProb(view))
+            + logJ;
+    } catch (const Error&) {
+        lpVar = ad::Var(-INFINITY);
+    }
+    lastTapeNodes_ = tape_.size();
+    lastTapeEdges_ = tape_.edgeCount();
+    reserveNodes_ = lastTapeNodes_;
+    reserveEdges_ = lastTapeEdges_;
+
+    const double lp = lpVar.value();
+    grad.assign(dim(), 0.0);
+    if (!std::isfinite(lp) || !lpVar.tracked()) {
+        // Divergent/out-of-support: the gradient stays zero but must be
+        // well-formed for the sampler's rejection logic.
+        lastTapeBytes_ = tape_.bytes();
+        return lp;
+    }
+    tape_.gradient(lpVar.id(), adjoints_);
+    lastTapeBytes_ = tape_.bytes();
+    TapeMetrics& metrics = TapeMetrics::get();
+    metrics.nodesPerEval.set(static_cast<double>(lastTapeNodes_));
+    metrics.bytesPerEval.set(static_cast<double>(lastTapeBytes_));
+    for (std::size_t d = 0; d < dim(); ++d)
+        grad[d] = adjoints_[u[d].id()];
+    return lp;
 }
 
 void
@@ -68,41 +133,10 @@ Evaluator::logProbBatch(const EvalBatch& batch, std::span<double> lp)
     BAYES_CHECK(batch.dim() == dim(), "batch has wrong dimension");
     BAYES_CHECK(lp.size() == batch.lanes(),
                 "logProbBatch: output size != lane count");
-    const std::size_t lanes = batch.lanes();
-    if (lanes == 0)
-        return;
-    numEvals_ += lanes;
-    ++numDataPasses_;
-    TapeMetrics::get().batchWidth.set(static_cast<double>(lanes));
-    try {
-        std::vector<std::vector<double>> xs(lanes);
-        std::vector<double> logJ(lanes, 0.0);
-        std::vector<double> q;
-        for (std::size_t k = 0; k < lanes; ++k) {
-            batch.getPoint(k, q);
-            xs[k] = constrainAll(*layout_, q, logJ[k]);
-        }
-        if (scalarLikelihood_) {
-            for (std::size_t k = 0; k < lanes; ++k) {
-                const ParamView<double> view(*layout_, xs[k]);
-                try {
-                    lp[k] = model_->logProbScalar(view);
-                } catch (const Error&) {
-                    lp[k] = -INFINITY;
-                }
-            }
-        } else {
-            const BatchParamView<double> view(*layout_, xs);
-            model_->logProbBatch(view, lp);
-        }
-        // -inf + finite Jacobian stays -inf: an infeasible lane keeps
-        // zero density no matter its transform terms.
-        for (std::size_t k = 0; k < lanes; ++k)
-            lp[k] += logJ[k];
-    } catch (const Error&) {
-        // Constraining itself blew up — reject every lane.
-        for (std::size_t k = 0; k < lanes; ++k)
-            lp[k] = -INFINITY;
+    std::vector<double> q;
+    for (std::size_t k = 0; k < batch.lanes(); ++k) {
+        batch.getPoint(k, q);
+        lp[k] = logProb(q);
     }
 }
 
@@ -113,108 +147,13 @@ Evaluator::logProbGradBatch(const EvalBatch& batch, std::span<double> lp,
     BAYES_CHECK(batch.dim() == dim(), "batch has wrong dimension");
     BAYES_CHECK(lp.size() == batch.lanes(),
                 "logProbGradBatch: output size != lane count");
-    const std::size_t lanes = batch.lanes();
-    grad.resize(dim(), lanes);
-    if (lanes == 0)
-        return;
-    numGradEvals_ += lanes;
-    ++numDataPasses_;
-    TapeMetrics::get().batchWidth.set(static_cast<double>(lanes));
-    tape_.clear();
-    // Pre-size to the previous eval's per-lane footprint times the lane
-    // count so the arenas do not re-grow (and memcpy) mid-record.
-    tape_.reserve(reserveNodes_ * lanes, reserveEdges_ * lanes);
-
-    std::vector<ad::Var> lpVars(lanes, ad::Var(-INFINITY));
-    std::vector<std::vector<ad::Var>> leaves(lanes);
-    try {
-        std::vector<std::vector<ad::Var>> xs(lanes);
-        std::vector<ad::Var> logJ(lanes);
-        std::vector<double> q;
-        for (std::size_t k = 0; k < lanes; ++k) {
-            batch.getPoint(k, q);
-            std::vector<ad::Var>& u = leaves[k];
-            u.resize(dim());
-            for (std::size_t i = 0; i < dim(); ++i)
-                u[i] = ad::leaf(tape_, q[i]);
-            logJ[k] = 0.0;
-            xs[k] = constrainAll(*layout_, u, logJ[k]);
-        }
-        streamDataShadow();
-        if (scalarLikelihood_) {
-            for (std::size_t k = 0; k < lanes; ++k) {
-                const ParamView<ad::Var> view(*layout_, xs[k]);
-                try {
-                    lpVars[k] = model_->logProbScalar(view);
-                } catch (const Error&) {
-                    lpVars[k] = ad::Var(-INFINITY);
-                }
-            }
-        } else {
-            const BatchParamView<ad::Var> view(*layout_, xs);
-            model_->logProbBatch(view, lpVars);
-        }
-        for (std::size_t k = 0; k < lanes; ++k)
-            lpVars[k] = lpVars[k] + logJ[k];
-    } catch (const Error&) {
-        for (std::size_t k = 0; k < lanes; ++k)
-            lpVars[k] = ad::Var(-INFINITY);
+    grad.resize(dim(), batch.lanes());
+    std::vector<double> q, g;
+    for (std::size_t k = 0; k < batch.lanes(); ++k) {
+        batch.getPoint(k, q);
+        lp[k] = logProbGrad(q, g);
+        grad.setPoint(k, g);
     }
-    lastTapeNodes_ = tape_.size();
-    lastTapeEdges_ = tape_.edgeCount();
-    reserveNodes_ = (lastTapeNodes_ + lanes - 1) / lanes;
-    reserveEdges_ = (lastTapeEdges_ + lanes - 1) / lanes;
-
-    // Seed every finite lane's output; one multi-output sweep then
-    // propagates all of them (the lanes' subgraphs are disjoint, so
-    // each adjoint is exactly what a per-lane sweep would produce).
-    std::vector<ad::NodeId> outputs;
-    outputs.reserve(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) {
-        lp[k] = lpVars[k].value();
-        if (std::isfinite(lp[k]) && lpVars[k].tracked())
-            outputs.push_back(lpVars[k].id());
-    }
-    if (outputs.empty()) {
-        // Every lane divergent/out-of-support: gradients stay zero but
-        // must be well-formed for the sampler's rejection logic.
-        lastTapeBytes_ = tape_.bytes();
-        return;
-    }
-    tape_.gradient(outputs, adjoints_);
-    lastTapeBytes_ = tape_.bytes();
-    TapeMetrics& metrics = TapeMetrics::get();
-    metrics.nodesPerEval.set(static_cast<double>(lastTapeNodes_));
-    metrics.bytesPerEval.set(static_cast<double>(lastTapeBytes_));
-    for (std::size_t k = 0; k < lanes; ++k) {
-        if (!std::isfinite(lp[k]) || !lpVars[k].tracked())
-            continue; // zero gradient for rejected lanes
-        const std::vector<ad::Var>& u = leaves[k];
-        for (std::size_t d = 0; d < dim(); ++d)
-            grad.at(d, k) = adjoints_[u[d].id()];
-    }
-}
-
-double
-Evaluator::logProb(const std::vector<double>& q)
-{
-    BAYES_CHECK(q.size() == dim(), "point has wrong dimension");
-    scratchQ_.setPoint(0, q);
-    double lp = 0.0;
-    logProbBatch(scratchQ_, {&lp, 1});
-    return lp;
-}
-
-double
-Evaluator::logProbGrad(const std::vector<double>& q,
-                       std::vector<double>& grad)
-{
-    BAYES_CHECK(q.size() == dim(), "point has wrong dimension");
-    scratchQ_.setPoint(0, q);
-    double lp = 0.0;
-    logProbGradBatch(scratchQ_, {&lp, 1}, scratchG_);
-    scratchG_.getPoint(0, grad);
-    return lp;
 }
 
 std::vector<double>
@@ -231,8 +170,8 @@ Evaluator::streamDataShadow()
     ad::MemProbe* probe = tape_.probe();
     if (!probe || dataShadow_.empty())
         return;
-    // One sequential pass over the observed data per batch, touched at
-    // cache-line granularity — K lanes share the stream.
+    // One sequential pass over the observed data, touched at
+    // cache-line granularity.
     constexpr std::size_t kLine = 64;
     for (std::size_t off = 0; off < dataShadow_.size(); off += kLine)
         probe->access(dataShadow_.data() + off, kLine, false);

@@ -6,19 +6,17 @@
  * reuses across evaluations (arena-style) exactly like Stan's autodiff
  * stack.
  *
- * The evaluation surface is batch-first: logProbBatch /
- * logProbGradBatch take an EvalBatch of K unconstrained points and
- * produce K log densities (and a K×D gradient block), running the
- * model's fused kernels once over the shared observed data for all K
- * lanes. The single-point logProb / logProbGrad are thin K=1 wrappers
- * over the batch paths, so every caller sees one code path and one
- * set of semantics.
+ * Every evaluation is one point: logProb / logProbGrad record the
+ * model's fused single-point density and, for the gradient, run one
+ * reverse sweep over it. Parallelism comes from chains, each with its
+ * own evaluator. logProbBatch / logProbGradBatch take an EvalBatch of
+ * K points and evaluate its lanes one at a time through the
+ * single-point calls.
  *
  * For architecture tracing, the evaluator also owns a "data shadow"
  * buffer of modeledDataBytes() and, when a memory probe is attached to
- * the tape, streams sequential reads over it once per gradient batch —
- * modeling the likelihood's single pass over the observed data no
- * matter how many lanes ride on it.
+ * the tape, streams sequential reads over it once per gradient —
+ * modeling the likelihood's pass over the observed data.
  */
 #pragma once
 
@@ -46,41 +44,37 @@ class Evaluator
     const Model& model() const { return *model_; }
 
     /**
-     * Log densities (including Jacobians) of the K points in @p batch,
-     * value-only path (no tape traffic). An infeasible lane gets -inf;
-     * the other lanes are unaffected.
-     * @param lp  one log density per lane, lp.size() == batch.lanes()
-     */
-    void logProbBatch(const EvalBatch& batch, std::span<double> lp);
-
-    /**
-     * Log densities and gradients of the K points in @p batch. The
-     * model's fused kernels stream the observed data once for all K
-     * lanes, one multi-output reverse sweep propagates all K adjoint
-     * seeds, and lane k's gradient lands in grad column k. A
-     * non-finite lane gets a zero gradient (well-formed for the
-     * sampler's rejection logic), like the single-point path always
-     * did.
-     * @param lp    one log density per lane
-     * @param grad  resized to dim() × batch.lanes()
-     */
-    void logProbGradBatch(const EvalBatch& batch, std::span<double> lp,
-                          EvalBatch& grad);
-
-    /**
      * Log density (including Jacobian) at unconstrained point @p q,
-     * value-only path. Thin K=1 wrapper over logProbBatch.
+     * value-only path (no tape traffic). A point the model or a
+     * transform rejects (bayes::Error) gets -inf.
      */
     double logProb(const std::vector<double>& q);
 
     /**
-     * Log density and its gradient at unconstrained @p q. Thin K=1
-     * wrapper over logProbGradBatch.
+     * Log density and its gradient at unconstrained @p q, from one
+     * reverse sweep. A rejected point gets -inf, and a non-finite
+     * density a zero gradient (well-formed for the sampler's rejection
+     * logic).
      * @param grad  resized to dim()
      * @return the log density
      */
     double logProbGrad(const std::vector<double>& q,
                        std::vector<double>& grad);
+
+    /**
+     * logProb of each of the K points in @p batch, one lane at a time.
+     * @param lp  one log density per lane, lp.size() == batch.lanes()
+     */
+    void logProbBatch(const EvalBatch& batch, std::span<double> lp);
+
+    /**
+     * logProbGrad of each of the K points in @p batch, one lane at a
+     * time; lane k's gradient lands in grad column k.
+     * @param lp    one log density per lane
+     * @param grad  resized to dim() × batch.lanes()
+     */
+    void logProbGradBatch(const EvalBatch& batch, std::span<double> lp,
+                          EvalBatch& grad);
 
     /** Map an unconstrained point to constrained parameter values. */
     std::vector<double> constrain(const std::vector<double>& q) const;
@@ -114,13 +108,6 @@ class Evaluator
     /** Number of gradient evaluations performed (lanes, not calls). */
     std::uint64_t numGradEvals() const { return numGradEvals_; }
 
-    /**
-     * Number of passes over the observed data: one per batch call,
-     * however many lanes it carried. The amortization a K-lane batch
-     * buys is exactly numGradEvals() / numDataPasses().
-     */
-    std::uint64_t numDataPasses() const { return numDataPasses_; }
-
     /** Tape nodes used by the most recent gradient evaluation. */
     std::size_t lastTapeNodes() const { return lastTapeNodes_; }
 
@@ -138,16 +125,13 @@ class Evaluator
     ad::Tape tape_;
     std::vector<double> adjoints_;
     std::vector<std::uint8_t> dataShadow_;
-    EvalBatch scratchQ_;   ///< K=1 staging for the single-point wrappers
-    EvalBatch scratchG_;   ///< K=1 gradient block for logProbGrad
     std::uint64_t numEvals_ = 0;
     std::uint64_t numGradEvals_ = 0;
-    std::uint64_t numDataPasses_ = 0;
     std::size_t lastTapeNodes_ = 0;
     std::size_t lastTapeEdges_ = 0;
     std::size_t lastTapeBytes_ = 0;
-    std::size_t reserveNodes_ = 0; ///< per-lane tape pre-size hint
-    std::size_t reserveEdges_ = 0; ///< per-lane edge pre-size hint
+    std::size_t reserveNodes_ = 0; ///< tape pre-size hint
+    std::size_t reserveEdges_ = 0; ///< edge pre-size hint
     bool scalarLikelihood_ = false;
 };
 

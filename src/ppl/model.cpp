@@ -48,36 +48,6 @@ ParamLayout::coordName(std::size_t i) const
     return {};
 }
 
-void
-Model::logProbBatch(const BatchParamView<double>& p,
-                    std::span<double> lp) const
-{
-    BAYES_CHECK(lp.size() == p.lanes(),
-                "logProbBatch: output size != lane count");
-    for (std::size_t k = 0; k < p.lanes(); ++k) {
-        try {
-            lp[k] = logProb(p.lane(k));
-        } catch (const Error&) {
-            lp[k] = -INFINITY; // infeasible lane: zero density
-        }
-    }
-}
-
-void
-Model::logProbBatch(const BatchParamView<ad::Var>& p,
-                    std::span<ad::Var> lp) const
-{
-    BAYES_CHECK(lp.size() == p.lanes(),
-                "logProbBatch: output size != lane count");
-    for (std::size_t k = 0; k < p.lanes(); ++k) {
-        try {
-            lp[k] = logProb(p.lane(k));
-        } catch (const Error&) {
-            lp[k] = ad::Var(-INFINITY);
-        }
-    }
-}
-
 double
 unconstrainScalar(TransformKind kind, double x, double lb, double ub)
 {

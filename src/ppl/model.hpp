@@ -134,97 +134,6 @@ class ParamView
 };
 
 /**
- * View over K constrained parameter points sharing one layout — the
- * form Model::logProbBatch consumes. Lane k's flat vector is owned by
- * the caller (the Evaluator's constrain scratch); the view adds
- * lane-indexed accessors plus gather helpers (`scalarLanes`,
- * `blockLanes`) that produce the lane-major spans the batched
- * math::*_batch kernels take.
- */
-template <typename T>
-class BatchParamView
-{
-  public:
-    BatchParamView(const ParamLayout& layout,
-                   const std::vector<std::vector<T>>& lanes)
-        : layout_(&layout), lanes_(&lanes)
-    {
-        for (const auto& lane : lanes)
-            BAYES_ASSERT(lane.size() == layout.dim());
-    }
-
-    /** Number of parameter points K in the batch. */
-    std::size_t lanes() const { return lanes_->size(); }
-
-    /** Lane @p k as a single-point view. */
-    ParamView<T>
-    lane(std::size_t k) const
-    {
-        return ParamView<T>(*layout_, (*lanes_)[k]);
-    }
-
-    /** Scalar value of size-1 block @p block in lane @p k. */
-    const T&
-    scalar(std::size_t block, std::size_t k) const
-    {
-        BAYES_ASSERT(layout_->block(block).size == 1);
-        return (*lanes_)[k][layout_->offset(block)];
-    }
-
-    /** Element @p i of block @p block in lane @p k. */
-    const T&
-    at(std::size_t block, std::size_t i, std::size_t k) const
-    {
-        BAYES_ASSERT(i < layout_->block(block).size);
-        return (*lanes_)[k][layout_->offset(block) + i];
-    }
-
-    /** Block @p b of lane @p k as a contiguous span (no copy). */
-    std::span<const T>
-    block(std::size_t b, std::size_t k) const
-    {
-        return {(*lanes_)[k].data() + layout_->offset(b),
-                layout_->block(b).size};
-    }
-
-    /** Size-1 block @p block gathered across lanes: K values. */
-    std::vector<T>
-    scalarLanes(std::size_t block) const
-    {
-        BAYES_ASSERT(layout_->block(block).size == 1);
-        const std::size_t off = layout_->offset(block);
-        std::vector<T> out(lanes());
-        for (std::size_t k = 0; k < lanes(); ++k)
-            out[k] = (*lanes_)[k][off];
-        return out;
-    }
-
-    /**
-     * Block @p b gathered across lanes, lane-major: lane k's values at
-     * [k*size, (k+1)*size) — the coefficient layout the batched GLM
-     * kernels take.
-     */
-    std::vector<T>
-    blockLanes(std::size_t b) const
-    {
-        const std::size_t off = layout_->offset(b);
-        const std::size_t n = layout_->block(b).size;
-        std::vector<T> out(lanes() * n);
-        for (std::size_t k = 0; k < lanes(); ++k)
-            for (std::size_t i = 0; i < n; ++i)
-                out[k * n + i] = (*lanes_)[k][off + i];
-        return out;
-    }
-
-    /** Underlying layout. */
-    const ParamLayout& layout() const { return *layout_; }
-
-  private:
-    const ParamLayout* layout_;
-    const std::vector<std::vector<T>>* lanes_;
-};
-
-/**
  * A Bayesian model: parameter layout + log joint density
  * log p(data, theta) evaluated at constrained theta.
  */
@@ -264,22 +173,6 @@ class Model
     {
         return logProb(p);
     }
-
-    /**
-     * Log joint density of K parameter points in one call, value-only
-     * path. The default loops the lanes over logProb, catching Error
-     * per lane into -inf; workloads with batched fused kernels override
-     * it to stream the observed data once for all K lanes. Overrides
-     * must not throw — a lane that is numerically infeasible writes
-     * -inf to its slot instead.
-     * @param lp  one log density per lane, lp.size() == p.lanes()
-     */
-    virtual void logProbBatch(const BatchParamView<double>& p,
-                              std::span<double> lp) const;
-
-    /** Batched log joint density, gradient (taped) path. */
-    virtual void logProbBatch(const BatchParamView<ad::Var>& p,
-                              std::span<ad::Var> lp) const;
 
     /**
      * Bytes of observed data iterated per likelihood evaluation — the

@@ -45,8 +45,10 @@ class Adam
 AdviResult
 fitAdvi(const ppl::Model& model, const AdviConfig& config)
 {
-    BAYES_CHECK(config.maxIterations > 0 && config.gradSamples > 0,
-                "ADVI needs positive iteration/sample counts");
+    BAYES_CHECK(config.maxIterations > 0 && config.gradSamples > 0
+                    && config.evalInterval > 0 && config.outputDraws >= 0,
+                "ADVI needs positive iteration/sample/interval counts"
+                " and a non-negative draw count");
     ppl::Evaluator eval(model);
     const std::size_t n = eval.dim();
     Rng rng(config.seed);
@@ -72,12 +74,7 @@ fitAdvi(const ppl::Model& model, const AdviConfig& config)
     Adam adamMu(n, config.learningRate);
     Adam adamOmega(n, config.learningRate);
 
-    const std::size_t samples = static_cast<std::size_t>(config.gradSamples);
-    std::vector<double> theta(n), gradMu(n), gradOmega(n);
-    std::vector<double> epsAll(samples * n); // [sample][coordinate]
-    ppl::EvalBatch thetaBatch(n, samples);
-    ppl::EvalBatch gradBatch;
-    std::vector<double> lps(samples);
+    std::vector<double> theta(n), eps(n), grad, gradMu(n), gradOmega(n);
     double bestElbo = -1e300;
     double elboAccum = 0.0;
     int elboCount = 0;
@@ -86,30 +83,19 @@ fitAdvi(const ppl::Model& model, const AdviConfig& config)
         std::fill(gradMu.begin(), gradMu.end(), 0.0);
         std::fill(gradOmega.begin(), gradOmega.end(), 0.0);
         double elbo = 0.0;
-        // All S Monte Carlo draws go into one EvalBatch: the gradient
-        // evaluation streams the observed data once per iteration
-        // instead of once per sample. The eps draws stay in the
-        // per-sample order, so the RNG stream matches the sequential
-        // loop this replaced.
-        for (std::size_t s = 0; s < samples; ++s) {
-            double* eps = epsAll.data() + s * n;
+        for (int s = 0; s < config.gradSamples; ++s) {
             for (std::size_t i = 0; i < n; ++i) {
                 eps[i] = rng.normal();
                 theta[i] = result.mu[i] + std::exp(result.omega[i]) * eps[i];
             }
-            thetaBatch.setPoint(s, theta);
-        }
-        eval.logProbGradBatch(thetaBatch, lps, gradBatch);
-        result.gradEvals += samples;
-        for (std::size_t s = 0; s < samples; ++s) {
-            if (!std::isfinite(lps[s]))
+            const double lp = eval.logProbGrad(theta, grad);
+            ++result.gradEvals;
+            if (!std::isfinite(lp))
                 continue; // skip divergent draws
-            elbo += lps[s];
-            const double* eps = epsAll.data() + s * n;
+            elbo += lp;
             for (std::size_t i = 0; i < n; ++i) {
-                gradMu[i] += gradBatch.at(i, s);
-                gradOmega[i] +=
-                    gradBatch.at(i, s) * eps[i] * std::exp(result.omega[i]);
+                gradMu[i] += grad[i];
+                gradOmega[i] += grad[i] * eps[i] * std::exp(result.omega[i]);
             }
         }
         const double scale = 1.0 / config.gradSamples;

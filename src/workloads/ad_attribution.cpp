@@ -52,17 +52,6 @@ AdAttribution::AdAttribution(double dataScale)
     });
 }
 
-/** Prior terms shared verbatim by the single and batched fused paths. */
-template <typename T>
-T
-AdAttribution::priorLp(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    T lp = normal_lpdf(p.scalar(kIntercept), 0.0, 2.0);
-    lp += normal_lpdf_vec(p.block(kBeta), 0.0, 1.0);
-    return lp;
-}
-
 template <typename T>
 T
 AdAttribution::logDensity(const ppl::ParamView<T>& p) const
@@ -70,7 +59,8 @@ AdAttribution::logDensity(const ppl::ParamView<T>& p) const
     using namespace bayes::math;
     const T& intercept = p.scalar(kIntercept);
 
-    T lp = priorLp(p);
+    T lp = normal_lpdf(intercept, 0.0, 2.0);
+    lp += normal_lpdf_vec(p.block(kBeta), 0.0, 1.0);
     lp += bernoulli_logit_glm_lpmf(std::span<const int>(outcomes_),
                                    std::span<const double>(features_),
                                    intercept, p.block(kBeta));
@@ -98,44 +88,6 @@ AdAttribution::logDensityScalar(const ppl::ParamView<T>& p) const
         lp += bernoulli_logit_lpmf(outcomes_[i], eta);
     }
     return lp;
-}
-
-template <typename T>
-void
-AdAttribution::logDensityBatch(const ppl::BatchParamView<T>& p,
-                               std::span<T> lp) const
-{
-    using namespace bayes::math;
-    const std::size_t lanes = p.lanes();
-    // Per lane, the same prior terms in the same order as logDensity —
-    // lane k's value and tape are bitwise those of a single-point call.
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] = priorLp(p.lane(k));
-    // One pass over the feature matrix for all K lanes.
-    const std::vector<T> alphas = p.scalarLanes(kIntercept);
-    const std::vector<T> betas = p.blockLanes(kBeta);
-    std::vector<T> like(lanes);
-    bernoulli_logit_glm_lpmf_batch(std::span<const int>(outcomes_),
-                                   std::span<const double>(features_),
-                                   std::span<const T>(alphas),
-                                   std::span<const T>(betas), numFeatures_,
-                                   std::span<T>(like));
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] += like[k];
-}
-
-void
-AdAttribution::logProbBatch(const ppl::BatchParamView<double>& p,
-                            std::span<double> lp) const
-{
-    logDensityBatch(p, lp);
-}
-
-void
-AdAttribution::logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                            std::span<ad::Var> lp) const
-{
-    logDensityBatch(p, lp);
 }
 
 double

@@ -80,24 +80,6 @@ DiseaseProgression::isplineBasis(std::size_t k, std::size_t nBasis,
 
 template <typename T>
 T
-DiseaseProgression::priorLp(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& offset = p.scalar(kOffset);
-    const T& sigma = p.scalar(kSigma);
-    const T& diagScale = p.scalar(kDiagScale);
-    const T& diagShift = p.scalar(kDiagShift);
-
-    // Prior terms shared verbatim by the single and batched fused paths.
-    T lp = normal_lpdf(offset, 0.0, 2.0) + normal_lpdf(sigma, 0.0, 1.0)
-        + normal_lpdf(diagScale, 0.0, 2.0)
-        + normal_lpdf(diagShift, 0.0, 2.0);
-    lp += exponential_lpdf_vec(p.block(kWeights), 0.25);
-    return lp;
-}
-
-template <typename T>
-T
 DiseaseProgression::logDensity(const ppl::ParamView<T>& p) const
 {
     using namespace bayes::math;
@@ -106,7 +88,10 @@ DiseaseProgression::logDensity(const ppl::ParamView<T>& p) const
     const T& diagScale = p.scalar(kDiagScale);
     const T& diagShift = p.scalar(kDiagShift);
 
-    T lp = priorLp(p);
+    T lp = normal_lpdf(offset, 0.0, 2.0) + normal_lpdf(sigma, 0.0, 1.0)
+        + normal_lpdf(diagScale, 0.0, 2.0)
+        + normal_lpdf(diagShift, 0.0, 2.0);
+    lp += exponential_lpdf_vec(p.block(kWeights), 0.25);
 
     const std::span<const double> basis(basis_);
     lp += normal_id_glm_lpdf(std::span<const double>(biomarker_), basis,
@@ -146,53 +131,6 @@ DiseaseProgression::logDensityScalar(const ppl::ParamView<T>& p) const
                                    diagScale * (score - diagShift));
     }
     return lp;
-}
-
-template <typename T>
-void
-DiseaseProgression::logDensityBatch(const ppl::BatchParamView<T>& p,
-                                    std::span<T> lp) const
-{
-    using namespace bayes::math;
-    const std::size_t lanes = p.lanes();
-    // Per lane, the same prior terms in the same order as logDensity.
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] = priorLp(p.lane(k));
-    // Two batched passes over the shared basis matrix — one per
-    // likelihood layer, in the same order as logDensity.
-    const std::span<const double> basis(basis_);
-    const std::vector<T> ws = p.blockLanes(kWeights);
-    const std::vector<T> offsets = p.scalarLanes(kOffset);
-    const std::vector<T> sigmas = p.scalarLanes(kSigma);
-    const std::vector<T> diagScales = p.scalarLanes(kDiagScale);
-    const std::vector<T> diagShifts = p.scalarLanes(kDiagShift);
-    std::vector<T> like(lanes);
-    normal_id_glm_lpdf_batch(std::span<const double>(biomarker_), basis,
-                             std::span<const T>(offsets),
-                             std::span<const T>(ws), numBasis_,
-                             std::span<const T>(sigmas), std::span<T>(like));
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] += like[k];
-    bernoulli_logit_scaled_glm_lpmf_batch(
-        std::span<const int>(diagnosis_), basis, std::span<const T>(ws),
-        numBasis_, std::span<const T>(diagScales),
-        std::span<const T>(diagShifts), std::span<T>(like));
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] += like[k];
-}
-
-void
-DiseaseProgression::logProbBatch(const ppl::BatchParamView<double>& p,
-                                 std::span<double> lp) const
-{
-    logDensityBatch(p, lp);
-}
-
-void
-DiseaseProgression::logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                                 std::span<ad::Var> lp) const
-{
-    logDensityBatch(p, lp);
 }
 
 double

@@ -24,10 +24,6 @@ class DiseaseProgression : public Workload
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
     double logProbScalar(const ppl::ParamView<double>& p) const override;
     ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
-    void logProbBatch(const ppl::BatchParamView<double>& p,
-                      std::span<double> lp) const override;
-    void logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                      std::span<ad::Var> lp) const override;
 
     /** Number of biomarker observations. */
     std::size_t numObservations() const { return biomarker_.size(); }
@@ -49,14 +45,9 @@ class DiseaseProgression : public Workload
 
   private:
     template <typename T>
-    T priorLp(const ppl::ParamView<T>& p) const;
-    template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
     template <typename T>
     T logDensityScalar(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    void logDensityBatch(const ppl::BatchParamView<T>& p,
-                         std::span<T> lp) const;
 
     /** I-spline basis value for basis k at standardized time t. */
     static double isplineBasis(std::size_t k, std::size_t nBasis, double t);

@@ -83,10 +83,9 @@ TicketsQuota::TicketsQuota(double dataScale, double subsampleFraction)
     });
 }
 
-/** Prior terms shared verbatim by the single and batched fused paths. */
 template <typename T>
 T
-TicketsQuota::priorLp(const ppl::ParamView<T>& p) const
+TicketsQuota::logDensity(const ppl::ParamView<T>& p) const
 {
     using namespace bayes::math;
     const T& muTheta = p.scalar(kMuTheta);
@@ -97,15 +96,6 @@ TicketsQuota::priorLp(const ppl::ParamView<T>& p) const
         + normal_lpdf(p.scalar(kDelta), 0.0, 1.0);
     lp += normal_lpdf_vec(p.block(kBeta), 0.0, 0.5);
     lp += normal_lpdf_vec(p.block(kTheta), muTheta, sigmaTheta);
-    return lp;
-}
-
-template <typename T>
-T
-TicketsQuota::logDensity(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    T lp = priorLp(p);
 
     // Coefficients in design-column order: {delta, beta...}.
     std::vector<T> coef;
@@ -159,53 +149,6 @@ TicketsQuota::logDensityScalar(const ppl::ParamView<T>& p) const
     // an unbiased surrogate for the full one.
     lp += likelihoodWeight_ * dataLp;
     return lp;
-}
-
-template <typename T>
-void
-TicketsQuota::logDensityBatch(const ppl::BatchParamView<T>& p,
-                              std::span<T> lp) const
-{
-    using namespace bayes::math;
-    const std::size_t lanes = p.lanes();
-    const std::size_t rowLen = 1 + numCovariates_;
-    // Per lane, the same prior terms in the same order as logDensity.
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] = priorLp(p.lane(k));
-    // One pass over the design matrix for all K lanes. Coefficients in
-    // design-column order {delta, beta...}, lane-major.
-    const std::vector<T> alphas = p.blockLanes(kTheta);
-    std::vector<T> coef(lanes * rowLen);
-    for (std::size_t k = 0; k < lanes; ++k) {
-        coef[k * rowLen] = p.scalar(kDelta, k);
-        for (std::size_t j = 0; j < numCovariates_; ++j)
-            coef[k * rowLen + 1 + j] = p.at(kBeta, j, k);
-    }
-    std::vector<T> dataLp(lanes);
-    poisson_log_glm_lpmf_batch(
-        std::span<const long>(counts_.data(), activeRows_),
-        std::span<const double>(design_.data(), activeRows_ * rowLen),
-        std::span<const int>(officer_.data(), activeRows_),
-        std::span<const double>(), std::span<const T>(alphas), numOfficers_,
-        std::span<const T>(coef), rowLen, std::span<T>(dataLp));
-    // Inverse-probability reweighting keeps the subsampled likelihood
-    // an unbiased surrogate for the full one.
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] += likelihoodWeight_ * dataLp[k];
-}
-
-void
-TicketsQuota::logProbBatch(const ppl::BatchParamView<double>& p,
-                           std::span<double> lp) const
-{
-    logDensityBatch(p, lp);
-}
-
-void
-TicketsQuota::logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                           std::span<ad::Var> lp) const
-{
-    logDensityBatch(p, lp);
 }
 
 double

@@ -36,10 +36,6 @@ class TicketsQuota : public Workload
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
     double logProbScalar(const ppl::ParamView<double>& p) const override;
     ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
-    void logProbBatch(const ppl::BatchParamView<double>& p,
-                      std::span<double> lp) const override;
-    void logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                      std::span<ad::Var> lp) const override;
 
     /** Number of officers. */
     std::size_t numOfficers() const { return numOfficers_; }
@@ -64,14 +60,9 @@ class TicketsQuota : public Workload
 
   private:
     template <typename T>
-    T priorLp(const ppl::ParamView<T>& p) const;
-    template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
     template <typename T>
     T logDensityScalar(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    void logDensityBatch(const ppl::BatchParamView<T>& p,
-                         std::span<T> lp) const;
 
     std::size_t numOfficers_;
     std::size_t numCovariates_;

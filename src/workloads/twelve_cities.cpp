@@ -77,10 +77,9 @@ TwelveCities::TwelveCities(double dataScale)
     });
 }
 
-/** Prior terms shared verbatim by the single and batched fused paths. */
 template <typename T>
 T
-TwelveCities::priorLp(const ppl::ParamView<T>& p) const
+TwelveCities::logDensity(const ppl::ParamView<T>& p) const
 {
     using namespace bayes::math;
     const T& muAlpha = p.scalar(kMuAlpha);
@@ -92,15 +91,6 @@ TwelveCities::priorLp(const ppl::ParamView<T>& p) const
         + normal_lpdf(p.scalar(kBetaTrend), 0.0, 1.0);
 
     lp += normal_lpdf_vec(p.block(kAlpha), muAlpha, sigmaAlpha);
-    return lp;
-}
-
-template <typename T>
-T
-TwelveCities::logDensity(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    T lp = priorLp(p);
 
     const std::array<T, 2> coef{p.scalar(kBetaLimit),
                                 p.scalar(kBetaTrend)};
@@ -140,49 +130,6 @@ TwelveCities::logDensityScalar(const ppl::ParamView<T>& p) const
         lp += poisson_log_lpmf(deaths_[i], eta);
     }
     return lp;
-}
-
-template <typename T>
-void
-TwelveCities::logDensityBatch(const ppl::BatchParamView<T>& p,
-                              std::span<T> lp) const
-{
-    using namespace bayes::math;
-    const std::size_t lanes = p.lanes();
-    // Per lane, the same prior terms in the same order as logDensity.
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] = priorLp(p.lane(k));
-    // One pass over the panel for all K lanes.
-    const std::vector<T> alphas = p.blockLanes(kAlpha);
-    std::vector<T> coef(lanes * 2);
-    for (std::size_t k = 0; k < lanes; ++k) {
-        coef[k * 2] = p.scalar(kBetaLimit, k);
-        coef[k * 2 + 1] = p.scalar(kBetaTrend, k);
-    }
-    std::vector<T> like(lanes);
-    poisson_log_glm_lpmf_batch(std::span<const long>(deaths_),
-                               std::span<const double>(design_),
-                               std::span<const int>(city_),
-                               std::span<const double>(logExposure_),
-                               std::span<const T>(alphas), numCities_,
-                               std::span<const T>(coef), 2,
-                               std::span<T>(like));
-    for (std::size_t k = 0; k < lanes; ++k)
-        lp[k] += like[k];
-}
-
-void
-TwelveCities::logProbBatch(const ppl::BatchParamView<double>& p,
-                           std::span<double> lp) const
-{
-    logDensityBatch(p, lp);
-}
-
-void
-TwelveCities::logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                           std::span<ad::Var> lp) const
-{
-    logDensityBatch(p, lp);
 }
 
 double

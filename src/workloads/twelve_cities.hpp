@@ -24,10 +24,6 @@ class TwelveCities : public Workload
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
     double logProbScalar(const ppl::ParamView<double>& p) const override;
     ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
-    void logProbBatch(const ppl::BatchParamView<double>& p,
-                      std::span<double> lp) const override;
-    void logProbBatch(const ppl::BatchParamView<ad::Var>& p,
-                      std::span<ad::Var> lp) const override;
 
     /** Observed pedestrian death counts (one per city-year row). */
     const std::vector<long>& deaths() const { return deaths_; }
@@ -52,14 +48,9 @@ class TwelveCities : public Workload
 
   private:
     template <typename T>
-    T priorLp(const ppl::ParamView<T>& p) const;
-    template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
     template <typename T>
     T logDensityScalar(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    void logDensityBatch(const ppl::BatchParamView<T>& p,
-                         std::span<T> lp) const;
 
     std::size_t numCities_;
     std::vector<long> deaths_;

@@ -12,14 +12,7 @@ namespace fixture::serve {
 
 struct ExecutionPolicy
 {
-    static ExecutionPolicy threadPerChain(int ignored = 0);
     static ExecutionPolicy pool(int);
-};
-enum class ExecutionMode
-{
-    Sequential,
-    ThreadPerChain,
-    Pool
 };
 
 void badPrivatePool()
@@ -32,12 +25,6 @@ void badHeapPool()
 {
     auto* pool = new support::ThreadPool(4);  // EXPECT: R009
     delete pool;
-}
-
-void badThreadPerChain()
-{
-    (void)ExecutionPolicy::threadPerChain();  // EXPECT: R009
-    (void)ExecutionMode::ThreadPerChain;      // EXPECT: R009
 }
 
 void goodSharedPool()

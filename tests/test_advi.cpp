@@ -141,6 +141,12 @@ TEST(Advi, ValidatesConfig)
     AdviConfig bad;
     bad.maxIterations = 0;
     EXPECT_THROW(fitAdvi(model, bad), Error);
+    bad = AdviConfig{};
+    bad.evalInterval = 0; // the convergence check divides by it
+    EXPECT_THROW(fitAdvi(model, bad), Error);
+    bad = AdviConfig{};
+    bad.outputDraws = -1;
+    EXPECT_THROW(fitAdvi(model, bad), Error);
 }
 
 } // namespace

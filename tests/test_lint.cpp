@@ -65,8 +65,8 @@ TEST(Lint, FixtureSelfTestFiresEveryRuleExactlyWhereSeeded)
     // The fixture set covers every text rule, including waiver hygiene
     // and the cross-cutting passes (layering, guarded-by, clocks).
     for (const char* rule :
-         {"R000", "R001", "R002", "R003", "R004", "R005", "R007", "R008",
-          "R009", "R010", "R011", "R012", "R013", "R014"}) {
+         {"R000", "R001", "R002", "R003", "R004", "R005", "R007", "R009",
+          "R010", "R011", "R012", "R013", "R014"}) {
         EXPECT_NE(r.output.find(rule), std::string::npos)
             << "fixture run never mentions " << rule << "\n"
             << r.output;

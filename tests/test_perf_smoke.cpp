@@ -1,20 +1,79 @@
 /**
  * @file
- * Performance smoke test gating the fused-kernel win: on the `ad`
- * attribution workload the fused tape must stay at or below 25% of the
- * scalar reference tape's node count, while producing the same log
- * density and gradient. Runs as a plain ctest under the `perf-smoke`
- * label so CI catches regressions that quietly re-inflate the tape
- * (e.g. a kernel falling back to the scalar loop).
+ * Performance smoke tests. On the `ad` attribution workload the fused
+ * tape must stay at or below 25% of the scalar reference tape's node
+ * count while producing the same log density and gradient, and a
+ * steady-state gradient on `ad` and `tickets` must make no more heap
+ * allocations than its ceiling. Runs as a plain ctest under the
+ * `perf-smoke` label so CI catches regressions that quietly re-inflate
+ * the tape (e.g. a kernel falling back to the scalar loop) or add
+ * allocations to the gradient path.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "ppl/evaluator.hpp"
 #include "support/rng.hpp"
 #include "workloads/suite.hpp"
+
+namespace {
+
+// This binary replaces the global allocation functions with counting
+// ones. Each thread counts its own calls to operator new, so the test
+// thread reads an exact count however many threads the process has.
+thread_local std::uint64_t tAllocations = 0;
+
+void*
+countedAlloc(std::size_t size)
+{
+    ++tAllocations;
+    if (void* p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void*
+operator new(std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void*
+operator new[](std::size_t size)
+{
+    return countedAlloc(size);
+}
+
+void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace bayes {
 namespace {
@@ -49,38 +108,33 @@ TEST(PerfSmoke, FusedTapeIsAQuarterOfScalarOnAdAttribution)
         << scalar.lastTapeNodes();
 }
 
-TEST(PerfSmoke, BatchedEvalStreamsDataOncePerEightLanes)
+TEST(PerfSmoke, SteadyStateGradientStaysUnderAllocationCeiling)
 {
-    // The batching win the EvalBatch surface exists for: a K=8
-    // gradient batch makes one pass over the observed data where eight
-    // singles make eight. Checked on both gate workloads.
-    for (const char* name : {"ad", "tickets"}) {
-        const auto wl = workloads::makeWorkload(name, 1.0);
-        ppl::Evaluator batched(*wl);
-        ppl::Evaluator single(*wl);
-
+    // Heap allocations per logProbGrad once a warm-up call has sized the
+    // tape and adjoint buffers, at full data scale.
+    struct Case
+    {
+        const char* name;
+        std::uint64_t ceiling;
+    };
+    for (const Case c : {Case{"ad", 8}, Case{"tickets", 13}}) {
+        const auto wl = workloads::makeWorkload(c.name, 1.0);
+        ppl::Evaluator eval(*wl);
         Rng rng(2019);
-        constexpr std::size_t kLanes = 8;
-        ppl::EvalBatch batch(batched.dim(), kLanes);
-        std::vector<double> q(batched.dim());
-        std::vector<std::vector<double>> pts;
-        for (std::size_t k = 0; k < kLanes; ++k) {
-            for (auto& qi : q)
-                qi = rng.normal(0.0, 0.3);
-            batch.setPoint(k, q);
-            pts.push_back(q);
-        }
+        std::vector<double> q(eval.dim());
+        for (auto& qi : q)
+            qi = rng.normal(0.0, 0.3);
+        std::vector<double> grad;
+        ASSERT_TRUE(std::isfinite(eval.logProbGrad(q, grad))) << c.name;
 
-        std::vector<double> lp(kLanes);
-        ppl::EvalBatch grads;
-        batched.logProbGradBatch(batch, lp, grads);
-        std::vector<double> g;
-        for (const auto& p : pts)
-            single.logProbGrad(p, g);
-
-        EXPECT_EQ(batched.numGradEvals(), single.numGradEvals()) << name;
-        EXPECT_EQ(batched.numDataPasses(), 1u) << name;
-        EXPECT_EQ(single.numDataPasses(), kLanes) << name;
+        constexpr std::uint64_t kCalls = 50;
+        const std::uint64_t before = tAllocations;
+        for (std::uint64_t i = 0; i < kCalls; ++i)
+            eval.logProbGrad(q, grad);
+        const std::uint64_t allocations = tAllocations - before;
+        EXPECT_LE(allocations, c.ceiling * kCalls)
+            << c.name << ": " << static_cast<double>(allocations) / kCalls
+            << " allocations per gradient";
     }
 }
 

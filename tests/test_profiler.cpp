@@ -122,32 +122,6 @@ TEST(Profiler, DeterministicAcrossCalls)
     EXPECT_EQ(a.chains[0].trace.size(), b.chains[0].trace.size());
 }
 
-TEST(Profiler, BatchedEvalSharesOneDataPassAcrossLanes)
-{
-    const auto wl = workloads::makeWorkload("ad", 0.25);
-    const std::size_t lanes = 4;
-    const auto single = profileWorkload(*wl, 1, 10);
-    const auto batched = profileBatchedEval(*wl, static_cast<int>(lanes), 10);
-
-    EXPECT_FALSE(batched.trace.empty());
-    EXPECT_EQ(batched.dim, wl->layout().dim());
-    EXPECT_EQ(batched.dataBytes, wl->modeledDataBytes());
-    // Lane-specific nodes grow the tape beyond a single chain's...
-    EXPECT_GT(batched.tapeNodes, single.chains[0].tapeNodes);
-    // ...but the shared observations are streamed once, not per lane, so
-    // the K-lane trace stays strictly below K independent evaluations.
-    EXPECT_LT(batched.trace.size(), lanes * single.chains[0].trace.size());
-}
-
-TEST(Profiler, BatchedEvalDeterministicAcrossCalls)
-{
-    const auto wl = workloads::makeWorkload("tickets", 0.25);
-    const auto a = profileBatchedEval(*wl, 3, 10, 99);
-    const auto b = profileBatchedEval(*wl, 3, 10, 99);
-    EXPECT_EQ(a.tapeNodes, b.tapeNodes);
-    EXPECT_EQ(a.trace.size(), b.trace.size());
-}
-
 TEST(Profiler, RejectsZeroChains)
 {
     const auto wl = workloads::makeWorkload("ad", 0.25);

@@ -3,7 +3,7 @@ engine registry (each module calls `@rule(...)` at import time)."""
 
 from . import clock          # noqa: F401  R012
 from . import conventions    # noqa: F401  R000-R005
-from . import fusion         # noqa: F401  R007, R008
+from . import fusion         # noqa: F401  R007
 from . import gate           # noqa: F401  R014
 from . import headers        # noqa: F401  R006
 from . import layering       # noqa: F401  R010

@@ -1,5 +1,5 @@
-"""Kernel-fusion discipline: R007 (scalar lpdf loops), R008 (per-chain
-gradient loops). Both reason about loop bodies via source.loop_regions.
+"""Kernel-fusion discipline: R007 (scalar lpdf loops), which reasons
+about loop bodies via source.loop_regions.
 """
 
 from __future__ import annotations
@@ -37,35 +37,3 @@ def rule_r007(files, findings, _ctx):
                     "observation; use a fused kernel from "
                     "src/math/vec_kernels.hpp (or waive a reference "
                     "scalar path with justification)"))
-
-
-R008_CALL = re.compile(r"(?:\.|->)\s*logProbGrad\s*\(")
-
-
-@rule("R008", "no per-chain logProbGrad loops outside src/samplers/")
-def rule_r008(files, findings, _ctx):
-    """Calling the K=1 gradient wrapper in a loop re-streams the observed
-    data once per iteration — exactly the pattern the batched surface
-    (Evaluator::logProbGradBatch) replaces. The sampler layer is exempt:
-    its per-iteration loops are the Markov chains themselves, and each
-    chain has only one point to evaluate at a time."""
-    for sf in files:
-        if not in_dirs(sf.relpath, "src"):
-            continue
-        if in_dirs(sf.relpath, "src/samplers"):
-            continue
-        text = "\n".join(sf.lines)
-        regions = loop_regions(text)
-        if not regions:
-            continue
-        for m in R008_CALL.finditer(text):
-            if not any(s <= m.start() < e for s, e in regions):
-                continue
-            lineno = text.count("\n", 0, m.start()) + 1
-            if not sf.waived(lineno, "R008"):
-                findings.append(Finding(
-                    sf.relpath, lineno, "R008",
-                    "logProbGrad in a loop streams the observed data once "
-                    "per call; gather the points into a ppl::EvalBatch and "
-                    "use Evaluator::logProbGradBatch (or waive with "
-                    "justification)"))
