@@ -81,8 +81,8 @@ main()
                  trace);
 
     // Latency effect: simulate the elided run against the full run.
-    // Detection runs phased on the shared pool — the stop draw is
-    // identical to the sequential schedule.
+    // Detection runs on the shared pool, one task per chain per R-hat
+    // check — the stop draw is identical to the sequential schedule.
     const auto elided = elide::runWithElision(*wl, cfg);
     const auto profile = archsim::profileWorkload(*wl, cfg.chains);
     const auto platform = archsim::Platform::skylake();

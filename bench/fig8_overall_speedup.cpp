@@ -49,8 +49,9 @@ main()
     for (const auto& name : workloads::suiteNames()) {
         const auto wl = workloads::makeWorkload(name);
         // Pooled execution (the userConfig default): the baseline and
-        // the elided runs use all cores, and the phased monitor keeps
-        // the elided stop draw identical to the sequential schedule.
+        // the elided runs use all cores, and the synchronized monitor
+        // keeps the elided stop draw identical to the sequential
+        // schedule.
         const auto cfg = bench::userConfig(*wl);
         std::fprintf(stderr, "[bench] %s: baseline + elided runs...\n",
                      name.c_str());

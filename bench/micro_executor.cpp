@@ -2,10 +2,10 @@
  * @file
  * Executor micro-bench — wall-clock time of `runWithElision` under
  * sequential, pool(chains) and the hardware-wide pool on `12cities`
- * and `votes` (4 chains). The phased barrier executor must produce the
- * identical stop draw under every policy; the interesting number is the
- * wall-time ratio, which approaches the chain count on a machine with
- * that many idle cores.
+ * and `votes` (4 chains). Each chain runs from one R-hat check to the
+ * next as one task, and every policy must produce the identical stop
+ * draw; the interesting number is the wall-time ratio, which approaches
+ * the chain count on a machine with that many idle cores.
  */
 #include "common.hpp"
 #include "elide/elision.hpp"
@@ -77,7 +77,7 @@ main()
         emit("pool(chains)", perChain);
         emit("pool", pool);
 
-        // The whole point of the phased executor: identical decisions.
+        // The whole point of the schedule: identical decisions.
         if (perChain.result.stoppedAtDraw != seq.result.stoppedAtDraw
             || pool.result.stoppedAtDraw != seq.result.stoppedAtDraw) {
             std::fprintf(stderr,

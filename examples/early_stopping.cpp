@@ -34,7 +34,7 @@ main()
     const auto full = samplers::run(*wl, cfg);
 
     std::printf("Running %s with runtime convergence detection "
-                "(phased on the pool)...\n",
+                "(one task per chain per R-hat check)...\n",
                 wl->name().c_str());
     // The detector publishes its decisions through the obs layer: the
     // trace carries an `elide.rhat` counter track, the registry the

@@ -49,6 +49,8 @@ detectorRhat(const std::vector<samplers::ChainResult>& chains,
 {
     BAYES_CHECK(!chains.empty(), "no chains");
     BAYES_CHECK(drawsSoFar >= 4, "too few draws for R-hat");
+    BAYES_CHECK(windowFraction > 0.0 && windowFraction <= 1.0,
+                "window fraction must be in (0, 1], got " << windowFraction);
     const std::size_t keep = std::max<std::size_t>(
         4, static_cast<std::size_t>(windowFraction * drawsSoFar));
     const std::size_t start =
@@ -86,6 +88,8 @@ convergenceTrace(const std::vector<samplers::ChainResult>& chains,
 {
     BAYES_CHECK(!chains.empty() && !chains[0].draws.empty(),
                 "convergenceTrace needs a completed run");
+    BAYES_CHECK(config.checkInterval >= 1,
+                "check interval must be >= 1, got " << config.checkInterval);
     const int draws = static_cast<int>(chains[0].draws.size());
     std::vector<RhatSample> trace;
     for (int draw = 1; draw <= draws; ++draw)
@@ -101,6 +105,8 @@ runWithElision(const ppl::Model& model, const samplers::Config& config,
 {
     BAYES_CHECK(config.chains >= 2,
                 "convergence detection needs at least two chains");
+    BAYES_CHECK(elision.checkInterval >= 1,
+                "check interval must be >= 1, got " << elision.checkInterval);
     // Elided schedule: short fixed adaptation, detection thereafter.
     samplers::Config elidedCfg = config;
     elidedCfg.warmup =
@@ -112,23 +118,24 @@ runWithElision(const ppl::Model& model, const samplers::Config& config,
 
     ElideMetrics& metrics = ElideMetrics::get();
 
-    // Runs on the coordinating thread with every chain parked at the
-    // barrier (any ExecutionPolicy), so plain writes to `result` are
-    // safe and the stop decision is schedule-independent.
-    samplers::IterationMonitor monitor =
+    // Runs on the coordinating thread with every chain parked between
+    // segments (any ExecutionPolicy), so plain writes to `result` are
+    // safe and the stop decision is schedule-independent. Segments end
+    // at multiples of checkInterval; the first check waits for minDraws.
+    const auto check =
         [&](const samplers::MonitorContext& ctx) -> samplers::MonitorAction {
-        if (!detectorChecksAt(elision, ctx.round))
+        if (!detectorChecksAt(elision, ctx.draws))
             return samplers::MonitorAction::Continue;
         Timer timer;
         double rhat;
         {
             obs::Span span("elide.rhat_check");
-            rhat = detectorRhat(ctx.chains, ctx.round,
+            rhat = detectorRhat(ctx.chains, ctx.draws,
                                 elision.windowFraction);
         }
         const double checkSeconds = timer.seconds();
         result.detectorSeconds += checkSeconds;
-        result.rhatTrace.push_back(RhatSample{ctx.round, rhat});
+        result.rhatTrace.push_back(RhatSample{ctx.draws, rhat});
         metrics.checks.add();
         metrics.checkSeconds.observe(checkSeconds);
         metrics.rhat.observe(rhat);
@@ -137,13 +144,14 @@ runWithElision(const ppl::Model& model, const samplers::Config& config,
         obs::Tracer::global().counter("elide.rhat", rhat);
         if (rhat < elision.rhatThreshold) {
             result.converged = true;
-            result.stoppedAtDraw = ctx.round;
+            result.stoppedAtDraw = ctx.draws;
             return samplers::MonitorAction::Stop;
         }
         return samplers::MonitorAction::Continue;
     };
 
-    result.run = samplers::run(model, elidedCfg, monitor);
+    result.run =
+        samplers::run(model, elidedCfg, {check, elision.checkInterval});
     if (!result.converged)
         result.stoppedAtDraw =
             static_cast<int>(result.run.chains[0].draws.size());

@@ -77,9 +77,9 @@ struct ElisionResult
  * Run @p model under @p config with runtime convergence detection.
  * The sampler configuration's iteration count acts as the budget; the
  * run stops early at detection. Elision composes with parallelism:
- * `config.execution` selects the schedule, and the phased barrier
- * executor guarantees the same draws and the same stop iteration under
- * Sequential and Pool.
+ * `config.execution` maps the chains onto threads, and each chain runs
+ * from one R-hat check to the next as one task, so Sequential and Pool
+ * deliver the same draws and the same stop iteration.
  */
 ElisionResult runWithElision(const ppl::Model& model,
                              const samplers::Config& config,

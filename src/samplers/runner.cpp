@@ -119,9 +119,6 @@ class ChainState
         result.logProbs.push_back(z_.logProb);
     }
 
-    /** Gradient evaluations consumed so far (work counter). */
-    std::uint64_t gradEvals() const { return eval_.numGradEvals(); }
-
     /**
      * Keep the first @p draws draws and finalize the summary statistics
      * over that prefix alone; totalGradEvals still counts all work done.
@@ -235,21 +232,17 @@ collect(States& states, int draws)
 
 /**
  * Expose the synchronized state to the monitor. Every chain is parked
- * (sequential round done, or all workers at the barrier), so the draw
- * storage can be moved into the context view and back without copying.
+ * between segments, so the draw storage can be moved into the context
+ * view and back without copying.
  */
 MonitorAction
-askMonitor(const IterationMonitor& monitor, int round, States& states,
-           std::vector<ChainResult>& view,
-           std::vector<std::uint64_t>& gradEvals, const Timer& wall)
+askMonitor(const IterationMonitor& monitor, int draws, States& states)
 {
     obs::Span span("sampler.monitor");
-    for (std::size_t c = 0; c < states.size(); ++c) {
+    std::vector<ChainResult> view(states.size());
+    for (std::size_t c = 0; c < states.size(); ++c)
         view[c] = std::move(states[c]->result);
-        gradEvals[c] = states[c]->gradEvals();
-    }
-    const MonitorContext context{round, view, wall.seconds(), gradEvals};
-    const MonitorAction action = monitor(context);
+    const MonitorAction action = monitor.check(MonitorContext{draws, view});
     for (std::size_t c = 0; c < states.size(); ++c)
         states[c]->result = std::move(view[c]);
     return action;
@@ -285,7 +278,7 @@ warmupChain(ChainState& chain, int warmup)
         chain.warmupIteration(t);
 }
 
-/** How a schedule ended: draws every chain keeps, deadline expiry. */
+/** How a run ended: draws every chain keeps, deadline expiry. */
 struct Stop
 {
     int draws;
@@ -293,70 +286,49 @@ struct Stop
 };
 
 /**
- * Free-run schedule, for a pool with a worker per chain and no monitor:
- * each chain runs its warmup and sampling as one task, reading the
- * clock after every post-warmup iteration and stopping once @p deadline
- * has passed. Every chain then keeps the shortest chain's draw count.
+ * The schedule (see runner.hpp): segments of one task per chain up to
+ * the monitor's next check draw, or to the last draw without a monitor;
+ * one-draw segments when a finite @p deadline meets fewer workers than
+ * chains. Each chain stops once @p deadline has passed and every chain
+ * keeps the shortest chain's draws; between segments the calling thread
+ * checks @p deadline, then asks the monitor at its check draws.
  */
 Stop
-freeRun(support::ThreadPool& pool, States& states, int warmup,
-        int sampling, double deadline, const Timer& wall)
+sample(support::ThreadPool* pool, States& states, int warmup, int sampling,
+       double deadline, const IterationMonitor& monitor, const Timer& wall)
 {
-    forEachChain(&pool, states, [&](ChainState& chain) {
-        warmupChain(chain, warmup);
-        obs::Span span("chain.sample");
-        for (int t = 0; t < sampling; ++t) {
-            chain.sampleIteration();
-            if (wall.seconds() >= deadline)
-                break;
-        }
-    });
-    int draws = sampling;
-    for (const auto& chain : states)
-        draws = std::min(draws, static_cast<int>(chain->result.draws.size()));
-    return {draws, draws < sampling};
-}
-
-/**
- * Barrier-round schedule, for everything else: every chain warms up,
- * then the chains advance one iteration per round. After each round the
- * calling thread checks @p deadline and then asks the monitor, while
- * every chain is parked. A chain queued behind others never starts
- * sampling after the deadline, so a late chain still delivers as many
- * draws as the rest.
- */
-Stop
-barrierRounds(support::ThreadPool* pool, States& states, int warmup,
-              int sampling, double deadline, const IterationMonitor& monitor,
-              const Timer& wall)
-{
-    {
-        obs::Span span("sampler.warmup");
-        forEachChain(pool, states, [warmup](ChainState& chain) {
-            warmupChain(chain, warmup);
-        });
-    }
-
-    std::vector<ChainResult> view(states.size());
-    std::vector<std::uint64_t> gradEvals(states.size());
-    for (int round = 1; round <= sampling; ++round) {
-        Timer roundTimer;
+    const bool queued = std::isfinite(deadline)
+        && (!pool || pool->workers() < static_cast<int>(states.size()));
+    const int segment = queued ? 1 : monitor.check ? monitor.every : sampling;
+    for (int draws = 0;;) {
+        const int end = draws + std::min(segment, sampling - draws);
+        Timer segmentTimer;
         {
             obs::Span span("sampler.round");
-            forEachChain(pool, states, [](ChainState& chain) {
-                obs::Span chainSpan("chain.round");
-                chain.sampleIteration();
+            forEachChain(pool, states, [&](ChainState& chain) {
+                if (draws == 0)
+                    warmupChain(chain, warmup);
+                obs::Span chainSpan("chain.sample");
+                for (int t = draws; t < end; ++t) {
+                    chain.sampleIteration();
+                    if (wall.seconds() >= deadline)
+                        break;
+                }
             });
         }
-        RunnerMetrics::get().roundSeconds.observe(roundTimer.seconds());
-        if (wall.seconds() >= deadline)
-            return {round, round < sampling};
-        if (monitor
-            && askMonitor(monitor, round, states, view, gradEvals, wall)
-                == MonitorAction::Stop)
-            return {round, false};
+        RunnerMetrics::get().roundSeconds.observe(segmentTimer.seconds());
+        draws = end;
+        for (const auto& chain : states)
+            draws = std::min(draws,
+                             static_cast<int>(chain->result.draws.size()));
+        if (draws < end || wall.seconds() >= deadline)
+            return {draws, draws < sampling};
+        if (monitor.check && draws % monitor.every == 0
+            && askMonitor(monitor, draws, states) == MonitorAction::Stop)
+            return {draws, false};
+        if (draws == sampling)
+            return {sampling, false};
     }
-    return {sampling, false};
 }
 
 } // namespace
@@ -403,6 +375,8 @@ runWithDeadline(const ppl::Model& model, const Config& config,
     BAYES_CHECK(config.execution.workers >= 0,
                 "pool worker count must be >= 0, got "
                     << config.execution.workers);
+    BAYES_CHECK(monitor.every >= 1,
+                "monitor interval must be >= 1, got " << monitor.every);
 
     obs::Span runSpan("sampler.run");
     RunnerMetrics::get().runs.add();
@@ -417,16 +391,12 @@ runWithDeadline(const ppl::Model& model, const Config& config,
     const int warmup = config.resolvedWarmup();
     const int sampling = config.iterations - warmup;
 
-    // Only the monitor, the policy and the pool width pick the
-    // schedule; the deadline changes only when the run stops.
     support::ThreadPool* pool = config.execution.mode == ExecutionMode::Pool
         ? &support::sharedPool(config.execution.workers)
         : nullptr;
-    const Stop stop = !monitor && pool && pool->workers() >= config.chains
-        ? freeRun(*pool, states, warmup, sampling, deadlineSeconds, wall)
-        : barrierRounds(pool, states, warmup, sampling, deadlineSeconds,
-                        monitor, wall);
-    return {collect(states, stop.draws), stop.expired, wall.seconds()};
+    const Stop stop = sample(pool, states, warmup, sampling, deadlineSeconds,
+                             monitor, wall);
+    return {collect(states, stop.draws), stop.expired};
 }
 
 } // namespace bayes::samplers

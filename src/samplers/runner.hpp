@@ -10,26 +10,25 @@
  *  - Pool: one task per chain on the process-shared
  *    support::ThreadPool, reused across runs.
  *
- * Two schedules, picked only by the monitor, the policy and the pool
- * width:
- *  - Free run — no monitor and a pool with a worker per chain. Each
- *    chain runs warmup and sampling as one task and checks the deadline
- *    after every post-warmup iteration; after the join every chain is
- *    cut to the shortest chain's draw count.
- *  - Barrier rounds — a monitor, Sequential, or more chains than
- *    workers. Every chain warms up, then the chains advance one
- *    iteration per round; after every round the calling thread checks
- *    the deadline, then the monitor observes all chains at the same
- *    draw count and decides continue/stop — the hook the
- *    convergence-elision mechanism (§VI) plugs into. The monitor runs
- *    while every chain is parked, so it may touch caller state without
- *    locking.
+ * One schedule: the chains advance in segments. A segment is one task
+ * per chain (the first also runs that chain's warmup) and ends at the
+ * monitor's next check draw, or at the last draw without a monitor.
+ * Inside a segment each chain reads the clock after every draw and
+ * stops once the deadline has passed; after the join every chain is cut
+ * to the shortest chain's draws. The calling thread then checks the
+ * deadline and, at a check draw, lets the monitor observe all chains at
+ * the same draw count and decide continue/stop — the hook the
+ * convergence-elision mechanism (§VI) plugs into. The monitor runs
+ * while every chain is parked, so it may touch caller state without
+ * locking. Under a finite deadline with fewer workers than chains,
+ * segments are one draw long, so a chain queued behind others never
+ * starts sampling after the deadline.
  *
  * Warmup adaptation mirrors Stan's windowed scheme in simplified form:
  * an initial step-size-only phase, a long variance-accumulation phase
  * that ends by installing the diagonal metric, and a final step-size
  * re-adaptation phase. Neither the monitor nor the deadline acts during
- * warmup, so each chain's warmup always runs without barriers.
+ * warmup.
  */
 #pragma once
 
@@ -43,7 +42,7 @@
 
 namespace bayes::samplers {
 
-/** Monitor verdict after a sampling round. */
+/** Monitor verdict at a check draw. */
 enum class MonitorAction
 {
     Continue, ///< keep sampling
@@ -51,24 +50,27 @@ enum class MonitorAction
 };
 
 /**
- * Synchronized cross-chain view handed to the monitor after every
- * completed post-warmup round. References stay valid only for the
- * duration of the callback.
+ * Synchronized cross-chain view handed to the monitor at every check
+ * draw. References stay valid only for the duration of the callback.
  */
 struct MonitorContext
 {
-    /** Completed post-warmup rounds == draws available per chain. */
-    int round;
-    /** All chains, draws valid up to `round`. */
+    /** Post-warmup draws every chain holds. */
+    int draws;
+    /** All chains, each holding exactly `draws` draws. */
     const std::vector<ChainResult>& chains;
-    /** Wall-clock seconds since run() started (warmup included). */
-    double elapsedSeconds;
-    /** Gradient evaluations consumed so far, per chain (all phases). */
-    const std::vector<std::uint64_t>& gradEvalsPerChain;
 };
 
-/** Observer invoked after every completed post-warmup round. */
-using IterationMonitor = std::function<MonitorAction(const MonitorContext&)>;
+/**
+ * Early-termination observer: `check` runs whenever the post-warmup
+ * draw count reaches a multiple of `every`.
+ */
+struct IterationMonitor
+{
+    std::function<MonitorAction(const MonitorContext&)> check;
+    /** Post-warmup draws between consultations (>= 1). */
+    int every = 1;
+};
 
 /**
  * Run a multi-chain inference job under Config::execution.
@@ -77,7 +79,7 @@ using IterationMonitor = std::function<MonitorAction(const MonitorContext&)>;
  * @param monitor  optional early-termination observer (any policy)
  */
 RunResult run(const ppl::Model& model, const Config& config,
-              const IterationMonitor& monitor = nullptr);
+              const IterationMonitor& monitor = {});
 
 /** Outcome of a deadline-bounded run (see runWithDeadline). */
 struct DeadlineRunResult
@@ -88,23 +90,21 @@ struct DeadlineRunResult
      * Config::postWarmup() draws.
      */
     bool expired = false;
-    /** Wall-clock seconds the run consumed (warmup included). */
-    double elapsedSeconds = 0.0;
 };
 
 /**
  * Run a multi-chain job under a wall-clock budget. The deadline is a
- * stop time for run()'s schedule: free-running chains each read the
- * clock after every post-warmup iteration, and barrier rounds check it
- * after every round, before the monitor. Consequences of that design:
+ * stop time for run()'s schedule: every chain reads the clock after
+ * every post-warmup draw, and the calling thread checks it after every
+ * segment, before the monitor. Consequences of that design:
  *
  *  - warmup always completes, and every chain keeps at least one draw,
  *    so a deadline shorter than warmup still pays for warmup plus one
  *    sampling iteration;
- *  - free-running chains stop at draw granularity, then every chain is
- *    cut to the shortest chain's draws: draws, logProbs, iterStats,
- *    acceptRate and divergences describe that kept prefix, while
- *    totalGradEvals counts the discarded iterations too;
+ *  - chains stop at draw granularity, then every chain is cut to the
+ *    shortest chain's draws: draws, logProbs, iterStats, acceptRate and
+ *    divergences describe that kept prefix, while totalGradEvals counts
+ *    the discarded iterations too;
  *  - infinity disables the check and the run is plain run();
  *  - the deadline changes only *when the run stops*, never any chain's
  *    trajectory, so delivered draws are a prefix of the undeadlined
@@ -119,7 +119,7 @@ struct DeadlineRunResult
 DeadlineRunResult runWithDeadline(const ppl::Model& model,
                                   const Config& config,
                                   double deadlineSeconds,
-                                  const IterationMonitor& monitor = nullptr);
+                                  const IterationMonitor& monitor = {});
 
 /**
  * Draw a finite-density initial point on the unconstrained scale

@@ -37,14 +37,13 @@ const char* executionModeName(ExecutionMode mode);
 
 /**
  * Chain execution policy. Both modes are draw-for-draw identical
- * (chains own independent RNG streams and evaluators) and both support
- * an IterationMonitor: with one, the run is *phased* — every chain
- * advances one round, a barrier fires, and the monitor decides
- * continue/stop on the calling thread before the next round — so
- * computation elision composes with parallelism. A pool with a worker
- * per chain (e.g. pool(chains)) lets a run without a monitor free-run:
- * each chain samples to the end, or to the deadline, on its own worker.
- * Sequential runs and narrower pools always advance in rounds.
+ * (chains own independent RNG streams and evaluators) and share one
+ * schedule: each chain samples to the IterationMonitor's next check
+ * draw, or to the end, as one task, and the monitor decides
+ * continue/stop on the calling thread between those segments — so
+ * computation elision composes with parallelism. Under a finite
+ * deadline with fewer workers than chains (Sequential included), the
+ * segments shrink to one draw.
  */
 struct ExecutionPolicy
 {

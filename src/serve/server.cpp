@@ -8,7 +8,6 @@
 #include "diagnostics/summary.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace bayes::serve {
@@ -319,12 +318,6 @@ Server::submit(Request request)
         if (admit && config_.admitByProjectedWait
             && projectedWaitSeconds(request.slo) + estimated > deadline) {
             shed(response); // criterion 4: projected completion past deadline
-            admit = false;
-        }
-        if (admit && request.slo == SloClass::Batch
-            && support::sharedPool(config_.workers).queueDepth()
-                > config_.maxPoolBacklog) {
-            shed(response); // criterion 5: pool backpressure sheds batch work
             admit = false;
         }
         if (admit) {

@@ -25,8 +25,6 @@
  *   3. bounded queue at capacity                       -> Shed
  *   4. projected wait (queued-ahead estimated service)
  *      already exceeds the request's deadline          -> Shed
- *   5. Batch-class request while the shared pool's
- *      backlog exceeds maxPoolBacklog                  -> Shed
  * Projections use a deterministic cost model (profiled tape nodes x
  * estimated gradient evaluations), so admit-vs-shed decisions are
  * reproducible under a fixed seed — tests/test_serve.cpp proves it.
@@ -82,7 +80,7 @@ enum class SloClass
 {
     Interactive, ///< tight deadline, always served first
     Standard,    ///< default class
-    Batch,       ///< best-effort; first to be shed under backpressure
+    Batch,       ///< best-effort; first to be shed under load
 };
 
 /** Number of SLO classes (queue array size). */
@@ -210,8 +208,6 @@ struct ServerConfig
      */
     double costPerEvalSeconds = 25e-6;
     double costPerNodeSeconds = 2e-9;
-    /** Shed Batch-class requests when the pool backlog exceeds this. */
-    std::size_t maxPoolBacklog = 4096;
 
     /**
      * Enable the amortized two-tier serving policy: repeat requests
@@ -237,7 +233,7 @@ struct ServerConfig
  * The serving runtime. Serving stays single-coordinator by design:
  * drain/runSchedule and the per-request bookkeeping (responses, served
  * order, the virtual clock) run on one coordinating thread, exactly
- * like the phased executor's monitor contract. The *admission-time*
+ * like the sampler executor's monitor contract. The *admission-time*
  * state a future concurrent front door would contend on — the bounded
  * priority queues and the warm-model cache — is mutex-guarded and
  * annotated (`BAYES_GUARDED_BY`, lint rule R011), so clang's thread

@@ -87,13 +87,6 @@ ThreadPool::submit(std::function<void()> task)
     return future;
 }
 
-std::size_t
-ThreadPool::queueDepth() const
-{
-    MutexLock lock(mutex_);
-    return queue_.size();
-}
-
 void
 ThreadPool::workerLoop()
 {

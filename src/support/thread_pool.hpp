@@ -9,7 +9,7 @@
  * submitted to the *same* pool. With every worker busy, the waiting
  * task would starve the task it waits for. All waiting in this
  * codebase therefore happens on the coordinating (submitting) thread:
- * the phased runner and the DSE driver submit, then wait from outside
+ * the sampler runner and the DSE driver submit, then wait from outside
  * the pool.
  *
  * Pool activity is exported through the obs layer — `pool.*` counters
@@ -56,19 +56,10 @@ class ThreadPool
     /** Tasks finished since construction (monitoring counter). */
     std::uint64_t tasksCompleted() const { return completed_.load(); }
 
-    /**
-     * Tasks currently waiting in the queue (none executing). This is
-     * the backpressure signal admission-control layers (bayes::serve)
-     * consult before accepting more work; the value is exact at the
-     * instant of the lock but naturally stale by the time the caller
-     * acts on it — treat it as a load estimate, not an invariant.
-     */
-    std::size_t queueDepth() const;
-
   private:
     void workerLoop();
 
-    mutable Mutex mutex_;
+    Mutex mutex_;
     CondVar cv_;
     std::deque<std::function<void()>> queue_ BAYES_GUARDED_BY(mutex_);
     std::vector<std::thread> workers_;

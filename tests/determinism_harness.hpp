@@ -154,10 +154,10 @@ struct PolicyCase
 };
 
 /**
- * The standard sweep: pool(chains) (a worker per chain, so an
- * unmonitored run free-runs) and pool(2) (barrier rounds once chains
- * outnumber workers). The reference cell (sequential) is *not* in the
- * grid — callers run it once and compare every grid cell against it.
+ * The standard sweep: pool(chains) (a worker per chain) and pool(2)
+ * (chains queue once they outnumber workers). The reference cell
+ * (sequential) is *not* in the grid — callers run it once and compare
+ * every grid cell against it.
  */
 inline std::vector<PolicyCase>
 policyGrid(int chains)
@@ -175,8 +175,7 @@ policyGrid(int chains)
  */
 inline void
 expectPolicyInvariantDraws(const ppl::Model& model, samplers::Config cfg,
-                           const samplers::IterationMonitor& monitor =
-                               nullptr)
+                           const samplers::IterationMonitor& monitor = {})
 {
     cfg.execution = samplers::ExecutionPolicy::sequential();
     const auto reference = samplers::run(model, cfg, monitor);

@@ -51,11 +51,11 @@ TEST(Determinism, StopIterationIsPolicyInvariant)
     // A monitor that stops mid-run must fire at the same round, with
     // the same delivered draws, under every schedule.
     const auto wl = workloads::makeWorkload("ad", 0.1);
-    const samplers::IterationMonitor stopAt13 =
+    const samplers::IterationMonitor stopAt13{
         [](const samplers::MonitorContext& ctx) {
-            return ctx.round >= 13 ? samplers::MonitorAction::Stop
+            return ctx.draws >= 13 ? samplers::MonitorAction::Stop
                                    : samplers::MonitorAction::Continue;
-        };
+        }};
     for (const auto algo :
          {samplers::Algorithm::Mh, samplers::Algorithm::Hmc,
           samplers::Algorithm::Nuts, samplers::Algorithm::Slice}) {

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "determinism_harness.hpp"
 #include "elide/elision.hpp"
 #include "support/rng.hpp"
@@ -74,6 +76,9 @@ TEST(Detector, ValidatesInput)
     std::vector<samplers::ChainResult> chains;
     chains.push_back(chainWithDraws({1.0, 2.0}));
     EXPECT_THROW(detectorRhat(chains, 2, 0.5), Error);
+    chains.assign(2, chainWithDraws(std::vector<double>(100, 1.0)));
+    EXPECT_THROW(detectorRhat(chains, 100, -0.5), Error);
+    EXPECT_THROW(detectorRhat(chains, 100, std::nan("")), Error);
 }
 
 TEST(Elision, StopsEarlyOnConvergingWorkload)
@@ -132,8 +137,8 @@ TEST(Elision, RespectsMinDrawsAndInterval)
 TEST(Elision, StopDecisionIsIdenticalUnderEveryExecutionPolicy)
 {
     // The tentpole guarantee: elision composes with parallelism. The
-    // phased barrier executor must reproduce the sequential schedule's
-    // draws, R-hat trace and stop iteration exactly.
+    // pooled segments must reproduce the sequential schedule's draws,
+    // R-hat trace and stop iteration exactly.
     const auto wl = workloads::makeWorkload("12cities", 0.25);
     samplers::Config cfg;
     cfg.chains = 4;
@@ -161,12 +166,24 @@ TEST(Elision, StopDecisionIsIdenticalUnderEveryExecutionPolicy)
     }
 }
 
-TEST(Elision, RequiresMultipleChains)
+TEST(Elision, ValidatesConfig)
 {
     const auto wl = workloads::makeWorkload("12cities", 0.25);
     samplers::Config cfg;
     cfg.chains = 1;
     EXPECT_THROW(runWithElision(*wl, cfg), Error);
+
+    cfg.chains = 2;
+    cfg.iterations = 400;
+    const std::vector<samplers::ChainResult> chains(
+        2, chainWithDraws(std::vector<double>(100, 1.0)));
+    for (const int interval : {0, -25}) {
+        SCOPED_TRACE(::testing::Message() << "checkInterval " << interval);
+        ElisionConfig bad;
+        bad.checkInterval = interval;
+        EXPECT_THROW(runWithElision(*wl, cfg, bad), Error);
+        EXPECT_THROW(convergenceTrace(chains, bad), Error);
+    }
 }
 
 TEST(Elision, DetectorOverheadIsTiny)

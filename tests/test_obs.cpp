@@ -11,12 +11,14 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "elide/elision.hpp"
 #include "obs/obs.hpp"
 #include "samplers/runner.hpp"
 #include "support/thread_pool.hpp"
@@ -540,11 +542,12 @@ TEST(Tracer, TraceJsonIsValidTraceEventFormat)
             << expected;
 }
 
-TEST(Metrics, RoundSecondsObservesBarrierRoundsOnly)
+TEST(Metrics, RoundSecondsObservesEverySegment)
 {
-    // sampler.round_seconds times every barrier round the calling
-    // thread waits on, monitored or not. An unmonitored run with a
-    // worker per chain free-runs and takes no rounds.
+    // sampler.round_seconds times every segment: one pool task per
+    // chain, run to the monitor's next check draw or to the last draw.
+    // Segments shrink to one draw only when a finite deadline meets
+    // fewer workers than chains.
     const auto wl = workloads::makeWorkload("ad", 0.1);
     samplers::Config cfg;
     cfg.algorithm = samplers::Algorithm::Mh;
@@ -553,23 +556,41 @@ TEST(Metrics, RoundSecondsObservesBarrierRoundsOnly)
     cfg.warmup = 20;
     cfg.seed = 777;
     Registry& reg = Registry::global();
-    Histogram& rounds = reg.histogram("sampler.round_seconds");
-    const auto roundsTimed = [&](int workers,
-                                 const samplers::IterationMonitor& monitor) {
+    Histogram& segments = reg.histogram("sampler.round_seconds");
+    Counter& tasks = reg.counter("pool.tasks_submitted");
+    const auto segmentsTimed = [&](int workers, double deadline,
+                                   const samplers::IterationMonitor& monitor) {
         cfg.execution = samplers::ExecutionPolicy::pool(workers);
         reg.reset();
-        samplers::run(*wl, cfg, monitor);
-        return rounds.stats().count;
+        samplers::runWithDeadline(*wl, cfg, deadline, monitor);
+        const std::uint64_t count = segments.stats().count;
+        EXPECT_EQ(tasks.value(), 3 * count);
+        return count;
     };
-    const samplers::IterationMonitor keepGoing =
-        [](const samplers::MonitorContext&) {
-            return samplers::MonitorAction::Continue;
-        };
-    const auto everyRound = static_cast<std::uint64_t>(cfg.postWarmup());
+    const auto keepGoing = [](const samplers::MonitorContext&) {
+        return samplers::MonitorAction::Continue;
+    };
+    const double never = std::numeric_limits<double>::infinity();
 
-    EXPECT_EQ(roundsTimed(3, nullptr), 0u);
-    EXPECT_EQ(roundsTimed(3, keepGoing), everyRound);
-    EXPECT_EQ(roundsTimed(2, nullptr), everyRound);
+    EXPECT_EQ(segmentsTimed(3, never, {}), 1u);
+    EXPECT_EQ(segmentsTimed(3, never, {keepGoing, 1}), 20u);
+    EXPECT_EQ(segmentsTimed(3, never, {keepGoing, 5}), 4u);
+    EXPECT_EQ(segmentsTimed(2, never, {}), 1u);
+    EXPECT_EQ(segmentsTimed(2, 3600.0, {}), 20u);
+
+    // An elided run joins its chains only at multiples of the R-hat
+    // check interval, not after every draw.
+    samplers::Config nuts;
+    nuts.chains = 4;
+    nuts.iterations = 1000;
+    nuts.execution = samplers::ExecutionPolicy::pool(4);
+    reg.reset();
+    const elide::ElisionResult elided =
+        elide::runWithElision(*workloads::makeWorkload("ad", 0.1), nuts);
+    const std::uint64_t count = segments.stats().count;
+    EXPECT_TRUE(elided.converged);
+    EXPECT_EQ(tasks.value(), 4 * count);
+    EXPECT_LE(count, static_cast<std::uint64_t>(elided.stoppedAtDraw / 25));
 }
 
 TEST(Tracer, StartClearsPreviousCollection)

@@ -1,8 +1,8 @@
 /**
  * @file
  * ThreadPool contract: tasks run to completion, futures carry
- * exceptions, the pool is reusable across batches (the "runs" of the
- * phased executor), genuine concurrency with >= 2 workers, and the
+ * exceptions, the pool is reusable across batches (the segments of
+ * the sampler executor), genuine concurrency with >= 2 workers, and the
  * shared-pool registry semantics.
  */
 #include <gtest/gtest.h>
