@@ -34,7 +34,7 @@
  * in-process assertions.
  *
  * Thread safety: the cache itself is not synchronized; serve::Server
- * guards it with its admission mutex.
+ * touches it only from its one coordinating thread.
  */
 #pragma once
 

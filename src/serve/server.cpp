@@ -15,6 +15,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/** Projected service time of an amortized-tier answer: admission's
+ * cost model prices a request at this when its cached gate passes. */
+constexpr double kAmortizedServiceSeconds = 500e-6;
+
 /** Serving telemetry (catalogued in docs/observability.md). */
 struct ServeMetrics
 {
@@ -23,6 +27,7 @@ struct ServeMetrics
     obs::Counter& shed = obs::Registry::global().counter("serve.shed");
     obs::Counter& deadlineMiss =
         obs::Registry::global().counter("serve.deadline_miss");
+    obs::Counter& failed = obs::Registry::global().counter("serve.failed");
     obs::Counter& warmHits =
         obs::Registry::global().counter("serve.warm_hits");
     obs::Counter& warmMisses =
@@ -121,9 +126,6 @@ Server::Server(ServerConfig config)
 {
     BAYES_CHECK(config_.queueCapacity >= 1,
                 "serve: queue capacity must be >= 1");
-    BAYES_CHECK(config_.workers >= 0,
-                "serve: pool worker count must be >= 0, got "
-                    << config_.workers);
     BAYES_CHECK(config_.warmCacheCapacity >= 1,
                 "serve: warm cache capacity must be >= 1");
 }
@@ -133,6 +135,10 @@ Server::~Server() = default;
 std::shared_ptr<Server::WarmModel>
 Server::warm(const std::string& name, double dataScale)
 {
+    // Checked before the lookup: a NaN scale compares equivalent to
+    // every cached scale of the workload and would alias its entry.
+    BAYES_CHECK(dataScale > 0.0 && dataScale <= 1.0,
+                "serve: dataScale must be in (0, 1], got " << dataScale);
     const auto key = std::make_pair(name, dataScale);
     auto it = warmCache_.find(key);
     if (it != warmCache_.end()) {
@@ -158,8 +164,8 @@ Server::warm(const std::string& name, double dataScale)
     entry->lastUse = ++warmUseTick_;
     warmCache_.emplace(key, entry);
     // LRU bound: evict the stalest key. The entry just inserted carries
-    // the freshest tick, so it is never the victim; in-flight serving
-    // paths hold their own shared_ptr and are unaffected.
+    // the freshest tick, so it is never the victim; queued and running
+    // requests hold their own shared_ptr and are unaffected.
     while (warmCache_.size() > config_.warmCacheCapacity) {
         auto victim = warmCache_.begin();
         for (auto cand = warmCache_.begin(); cand != warmCache_.end();
@@ -174,20 +180,18 @@ Server::warm(const std::string& name, double dataScale)
 }
 
 double
-Server::estimate(const Request& request, const WarmModel& warmModel,
-                 bool forceFull)
+Server::estimate(const Request& request, const WarmModel& warmModel)
 {
     // Tier projection: when the cached posterior's gate currently
     // passes, the request will be answered by the cheap tier at a flat
     // (tiny) cost — project that instead of the full-run cost so
     // admission does not shed repeat traffic the tier can absorb.
-    if (!forceFull && config_.amortizedTier && request.allowAmortized
-        && !warmModel.amortDigest.empty()) {
+    if (config_.amortizedTier && !warmModel.amortDigest.empty()) {
         const samplers::amortize::CacheKey key{
             request.workload, warmModel.amortDigest, request.dataScale};
         const samplers::amortize::Entry* cached = amortCache_.find(key);
         if (cached != nullptr && amortCache_.gate(*cached).pass)
-            return config_.amortizedServiceSeconds;
+            return kAmortizedServiceSeconds;
     }
     const double perChain =
         estimatedEvalsPerChain(request.config, warmModel.eval->dim());
@@ -201,35 +205,18 @@ Server::estimate(const Request& request, const WarmModel& warmModel,
 double
 Server::estimatedServiceSeconds(const Request& request)
 {
-    support::MutexLock lock(mutex_);
-    return estimate(request, *warm(request.workload, request.dataScale),
-                    false);
+    return estimate(request, *warm(request.workload, request.dataScale));
 }
 
 ppl::Evaluator*
 Server::warmEvaluator(const std::string& workload, double dataScale)
 {
-    support::MutexLock lock(mutex_);
     const auto it = warmCache_.find(std::make_pair(workload, dataScale));
     return it == warmCache_.end() ? nullptr : it->second->eval.get();
 }
 
-samplers::amortize::Stats
-Server::amortStats() const
-{
-    support::MutexLock lock(mutex_);
-    return amortCache_.stats();
-}
-
 std::size_t
 Server::queueDepth() const
-{
-    support::MutexLock lock(mutex_);
-    return queueDepthLocked();
-}
-
-std::size_t
-Server::queueDepthLocked() const
 {
     std::size_t depth = 0;
     for (const auto& queue : queues_)
@@ -267,14 +254,14 @@ Server::fail(Response& response, const std::string& why)
     response.error = why;
     response.startSeconds = response.arrivalSeconds;
     response.completionSeconds = response.arrivalSeconds;
+    ServeMetrics::get().failed.add();
 }
 
 std::uint64_t
 Server::submit(Request request)
 {
     const std::uint64_t id = responses_.size();
-    responses_.emplace_back();
-    Response& response = responses_.back();
+    Response& response = responses_.emplace_back();
     response.id = id;
     response.tenant = request.tenant;
     response.workload = request.workload;
@@ -287,222 +274,122 @@ Server::submit(Request request)
         : request.deadlineSeconds;
     response.deadlineSeconds = deadline;
 
-    // One lock over the whole admission decision: the criteria must see
-    // a consistent queue state, and enqueue must be atomic with the
-    // checks that justified it.
-    std::size_t depth = 0;
-    {
-        support::MutexLock lock(mutex_);
-        double estimated = 0.0;
-        bool admit = true;
-        try {
-            // Warms the cache and prices the run (same math as the
-            // public estimatedServiceSeconds, called with the lock
-            // already held).
-            estimated = estimate(
-                request, *warm(request.workload, request.dataScale), false);
-        } catch (const Error& e) {
-            fail(response, e.what());
-            admit = false;
-        }
-        if (admit && deadline <= 0.0) {
-            // Unsatisfiable by definition; reject before it wastes queue
-            // space (admission criterion 2).
-            shed(response);
-            admit = false;
-        }
-        if (admit && queueDepthLocked() >= config_.queueCapacity) {
-            shed(response); // criterion 3: bounded queue
-            admit = false;
-        }
-        if (admit && config_.admitByProjectedWait
-            && projectedWaitSeconds(request.slo) + estimated > deadline) {
-            shed(response); // criterion 4: projected completion past deadline
-            admit = false;
-        }
-        if (admit) {
-            QueueEntry entry;
-            entry.id = id;
-            entry.arrivalSeconds = response.arrivalSeconds;
-            entry.deadlineSeconds = deadline;
-            entry.estimatedSeconds = estimated;
-            entry.request = std::move(request);
-            queues_[static_cast<std::size_t>(entry.request.slo)]
-                .push_back(std::move(entry));
-            ++admitted_;
-            ServeMetrics::get().admitted.add();
-        }
-        depth = queueDepthLocked();
+    // Criterion 1, malformed request: NaN times would poison the
+    // virtual clock and the latency histogram; warm() rejects unknown
+    // workloads and scales outside (0, 1]. The one warm-cache lookup
+    // of the request also prices it.
+    std::shared_ptr<WarmModel> model;
+    double estimated = 0.0;
+    std::string malformed;
+    try {
+        BAYES_CHECK(!std::isnan(request.arrivalSeconds)
+                        && !std::isnan(request.deadlineSeconds),
+                    "serve: arrivalSeconds and deadlineSeconds must not "
+                    "be NaN");
+        model = warm(request.workload, request.dataScale);
+        estimated = estimate(request, *model);
+    } catch (const Error& e) {
+        malformed = e.what();
     }
-    ServeMetrics::get().queueDepth.observe(static_cast<double>(depth));
+
+    if (model == nullptr) {
+        fail(response, malformed);
+    } else if (deadline <= 0.0) {
+        shed(response); // criterion 2: unsatisfiable by definition
+    } else if (queueDepth() >= config_.queueCapacity) {
+        shed(response); // criterion 3: bounded queue
+    } else if (projectedWaitSeconds(request.slo) + estimated > deadline) {
+        shed(response); // criterion 4: projected completion past deadline
+    } else {
+        queues_[static_cast<std::size_t>(response.slo)].push_back(
+            {id, std::move(request), std::move(model), estimated});
+        ++admitted_;
+        ServeMetrics::get().admitted.add();
+    }
+    ServeMetrics::get().queueDepth.observe(static_cast<double>(queueDepth()));
     return id;
 }
 
 void
 Server::serveNext()
 {
-    // Pop under the lock, serve unlocked: the sampling run is the long
-    // part and must not hold the admission mutex.
-    QueueEntry entry;
-    bool found = false;
-    {
-        support::MutexLock lock(mutex_);
-        for (auto& queue : queues_) {
-            if (queue.empty())
-                continue;
-            entry = std::move(queue.front());
-            queue.pop_front();
-            found = true;
-            break;
-        }
-    }
-    if (!found)
+    auto queue = queues_.begin();
+    while (queue != queues_.end() && queue->empty())
+        ++queue;
+    if (queue == queues_.end())
         return;
+    const QueueEntry entry = std::move(queue->front());
+    queue->pop_front();
 
     Response& response = responses_[entry.id];
-
-    const double start = std::max(virtualNow_, entry.arrivalSeconds);
-    const double wait = start - entry.arrivalSeconds;
-
-    // Amortized tier: try to answer from the posterior cache before
-    // committing the coordinator to a full sampling run. A cold key or
-    // a gate rejection re-enters the queue with the full path forced.
-    if (!entry.forceFull && config_.amortizedTier
-        && entry.request.allowAmortized && wait <= entry.deadlineSeconds) {
-        const AmortTry outcome = tryAmortized(response, entry, start, wait);
-        if (outcome != AmortTry::NotAmortizable)
-            return; // served or requeued; bookkeeping done inside
-    }
-
     servedOrder_.push_back(entry.id);
-    response.startSeconds = start;
-    response.queueWaitSeconds = wait;
+    response.startSeconds = std::max(virtualNow_, response.arrivalSeconds);
+    response.queueWaitSeconds =
+        response.startSeconds - response.arrivalSeconds;
 
-    if (wait > entry.deadlineSeconds) {
+    if (response.queueWaitSeconds > response.deadlineSeconds) {
         // Expired while waiting: answering with a late full run would
         // only push every later request past its deadline too, so the
         // miss is recorded without running.
         response.status = RequestStatus::DeadlineMiss;
-        response.completionSeconds = start;
-        response.latencySeconds = wait;
+        response.completionSeconds = response.startSeconds;
+        response.latencySeconds = response.queueWaitSeconds;
         ++deadlineMisses_;
         ServeMetrics::get().deadlineMiss.add();
-        ServeMetrics::get().requestLatency.observe(wait);
+        ServeMetrics::get().requestLatency.observe(response.latencySeconds);
         return;
     }
 
-    finishServed(response, entry);
-}
-
-Server::AmortTry
-Server::tryAmortized(Response& response, QueueEntry& entry, double start,
-                     double wait)
-{
-    const Timer clock;
-    // The decision and the answer are both extracted under one short
-    // lock (amortCache_ is admission-time state); the serve below works
-    // on copies only.
-    bool cold = false;
-    bool pass = false;
-    int cachedDraws = 0;
-    std::vector<double> cachedMean;
-    double cachedRefRhat = 0.0;
-    std::shared_ptr<WarmModel> warmModel;
-    {
-        support::MutexLock lock(mutex_);
-        warmModel = warm(entry.request.workload, entry.request.dataScale);
-        if (warmModel->amortDigest.empty())
-            return AmortTry::NotAmortizable;
+    // Amortized tier: answer from the posterior cache when the gate
+    // passes. A cold key or a gate rejection falls through to the full
+    // run, which then installs or refreshes the cache entry.
+    const WarmModel& warmModel = *entry.model;
+    bool refreshTier = false;
+    if (config_.amortizedTier && !warmModel.amortDigest.empty()) {
+        // The answer's service time covers the lookup and the gate.
+        const Timer clock;
         amortCache_.noteRequest();
-        const samplers::amortize::CacheKey key{entry.request.workload,
-                                               warmModel->amortDigest,
-                                               entry.request.dataScale};
-        samplers::amortize::Entry* cached = amortCache_.find(key);
+        samplers::amortize::Entry* cached = amortCache_.find(
+            {entry.request.workload, warmModel.amortDigest,
+             entry.request.dataScale});
         if (cached == nullptr) {
-            cold = true;
             amortCache_.noteCold();
         } else if (amortCache_.gate(*cached).pass) {
-            pass = true;
             amortCache_.noteServed(*cached);
-            cachedDraws = static_cast<int>(cached->fit.draws.size());
-            cachedMean = cached->mean;
-            cachedRefRhat = cached->refMaxRhat;
+            response.servedAmortized = true;
+            response.draws = static_cast<int>(cached->fit.draws.size());
+            response.posteriorMean = cached->mean;
+            response.maxRhat = entry.request.query == QueryKind::Summary
+                ? cached->refMaxRhat
+                : std::numeric_limits<double>::quiet_NaN();
+            complete(response, clock.seconds());
+            return;
         } else {
             amortCache_.noteEscalated();
+            response.escalated = true;
         }
-        if (!pass) {
-            // Cold key or gate rejection: the full path must answer.
-            // Re-enter at the front of the class queue with the full
-            // cost re-projected; the re-served NUTS run stays
-            // byte-identical to a direct run with the same seed.
-            response.escalated = !cold;
-            entry.forceFull = true;
-            entry.estimatedSeconds =
-                estimate(entry.request, *warmModel, true);
-            queues_[static_cast<std::size_t>(entry.request.slo)].push_front(
-                std::move(entry));
-        }
+        refreshTier = true;
     }
-    if (!pass)
-        return AmortTry::Requeued;
-
-    // Serve from the cache: the measured service time is the gate check
-    // plus these copies — the whole point of the tier.
-    servedOrder_.push_back(entry.id);
-    response.servedAmortized = true;
-    response.startSeconds = start;
-    response.queueWaitSeconds = wait;
-    response.draws = cachedDraws;
-    response.posteriorMean = std::move(cachedMean);
-    response.maxRhat = entry.request.query == QueryKind::Summary
-        ? cachedRefRhat
-        : std::numeric_limits<double>::quiet_NaN();
-
-    const double service = clock.seconds();
-    response.serviceSeconds = service;
-    response.completionSeconds = start + service;
-    response.latencySeconds =
-        response.completionSeconds - response.arrivalSeconds;
-    const bool missed = response.latencySeconds > entry.deadlineSeconds;
-    response.status =
-        missed ? RequestStatus::DeadlineMiss : RequestStatus::Ok;
-    if (missed) {
-        ++deadlineMisses_;
-        ServeMetrics::get().deadlineMiss.add();
-    }
-    virtualNow_ = response.completionSeconds;
-    ServeMetrics::get().requestLatency.observe(response.latencySeconds);
-    ServeMetrics::get().serviceSeconds.observe(response.serviceSeconds);
-    return AmortTry::Served;
+    finishServed(response, entry, refreshTier);
 }
 
 void
-Server::finishServed(Response& response, QueueEntry& entry)
+Server::finishServed(Response& response, const QueueEntry& entry,
+                     bool refreshTier)
 {
     obs::Span span("serve.request");
-    std::shared_ptr<WarmModel> warmModelPtr;
-    {
-        // Short lock to resolve the cache entry; the shared_ptr keeps
-        // the model/evaluator alive unlocked (even across an LRU
-        // eviction) so the sampler runs without the mutex held.
-        support::MutexLock lock(mutex_);
-        warmModelPtr = warm(entry.request.workload, entry.request.dataScale);
-    }
-    WarmModel& warmModel = *warmModelPtr;
-
+    const WarmModel& warmModel = *entry.model;
     samplers::Config config = entry.request.config;
-    config.execution = samplers::ExecutionPolicy::pool(config_.workers);
-    const double remaining = entry.deadlineSeconds - response.queueWaitSeconds;
+    config.execution = samplers::ExecutionPolicy::pool();
+    const double remaining =
+        response.deadlineSeconds - response.queueWaitSeconds;
 
     const Timer clock;
+    double service = 0.0;
     try {
         const samplers::DeadlineRunResult outcome =
             samplers::runWithDeadline(*warmModel.model, config, remaining);
-        const double service = clock.seconds();
-        response.serviceSeconds = service;
-        response.completionSeconds = response.startSeconds + service;
-        response.latencySeconds =
-            response.completionSeconds - response.arrivalSeconds;
+        service = clock.seconds();
         response.truncatedByDeadline = outcome.expired;
         response.draws =
             static_cast<int>(outcome.run.chains.front().draws.size());
@@ -531,15 +418,6 @@ Server::finishServed(Response& response, QueueEntry& entry)
             response.maxRhat = std::numeric_limits<double>::quiet_NaN();
         }
 
-        const bool missed = outcome.expired
-            || response.latencySeconds > entry.deadlineSeconds;
-        response.status =
-            missed ? RequestStatus::DeadlineMiss : RequestStatus::Ok;
-        if (missed) {
-            ++deadlineMisses_;
-            ServeMetrics::get().deadlineMiss.add();
-        }
-
         if (entry.request.keepDraws)
             response.run =
                 std::make_shared<const samplers::RunResult>(outcome.run);
@@ -549,9 +427,7 @@ Server::finishServed(Response& response, QueueEntry& entry)
         // installs/refreshes the reference summary the gate compares
         // against. (Not billed to this request's service time — the
         // fit amortizes over all future repeats of the key.)
-        if (config_.amortizedTier && entry.forceFull
-            && !warmModel.amortDigest.empty() && !outcome.expired) {
-            support::MutexLock lock(mutex_);
+        if (refreshTier && !outcome.expired) {
             const samplers::amortize::CacheKey key{
                 entry.request.workload, warmModel.amortDigest,
                 entry.request.dataScale};
@@ -562,17 +438,33 @@ Server::finishServed(Response& response, QueueEntry& entry)
             amortCache_.installReference(*cached, outcome.run);
         }
     } catch (const Error& e) {
-        const double service = clock.seconds();
-        response.serviceSeconds = service;
-        response.completionSeconds = response.startSeconds + service;
-        response.latencySeconds =
-            response.completionSeconds - response.arrivalSeconds;
+        service = clock.seconds();
         response.status = RequestStatus::Failed;
         response.error = e.what();
     }
+    complete(response, service);
+}
+
+void
+Server::complete(Response& response, double serviceSeconds)
+{
+    response.serviceSeconds = serviceSeconds;
+    response.completionSeconds = response.startSeconds + serviceSeconds;
+    response.latencySeconds =
+        response.completionSeconds - response.arrivalSeconds;
+    if (response.status == RequestStatus::Failed) {
+        ServeMetrics::get().failed.add();
+    } else if (response.truncatedByDeadline
+               || response.latencySeconds > response.deadlineSeconds) {
+        response.status = RequestStatus::DeadlineMiss;
+        ++deadlineMisses_;
+        ServeMetrics::get().deadlineMiss.add();
+    } else {
+        response.status = RequestStatus::Ok;
+    }
     virtualNow_ = response.completionSeconds;
     ServeMetrics::get().requestLatency.observe(response.latencySeconds);
-    ServeMetrics::get().serviceSeconds.observe(response.serviceSeconds);
+    ServeMetrics::get().serviceSeconds.observe(serviceSeconds);
 }
 
 void
@@ -585,23 +477,25 @@ Server::drain()
 void
 Server::runSchedule(std::vector<Request> arrivals)
 {
+    // One arrival key for the sort, the idle jump and the admit test:
+    // negative ("now") and NaN arrivals are admitted at once, and
+    // submit() fails the NaN ones as malformed.
+    const auto due = [](const Request& request) {
+        return std::max(0.0, request.arrivalSeconds);
+    };
     std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const Request& a, const Request& b) {
-                         return std::max(0.0, a.arrivalSeconds)
-                             < std::max(0.0, b.arrivalSeconds);
+                     [&](const Request& a, const Request& b) {
+                         return due(a) < due(b);
                      });
     std::size_t next = 0;
     while (next < arrivals.size() || queueDepth() > 0) {
         // Idle server: jump the virtual clock to the next arrival.
-        if (queueDepth() == 0 && next < arrivals.size()
-            && arrivals[next].arrivalSeconds > virtualNow_)
-            virtualNow_ = arrivals[next].arrivalSeconds;
+        if (queueDepth() == 0 && next < arrivals.size())
+            virtualNow_ = std::max(virtualNow_, due(arrivals[next]));
         // Admit everything that has arrived by now, in arrival order.
-        while (next < arrivals.size()
-               && arrivals[next].arrivalSeconds <= virtualNow_)
+        while (next < arrivals.size() && due(arrivals[next]) <= virtualNow_)
             submit(std::move(arrivals[next++]));
-        if (queueDepth() > 0)
-            serveNext();
+        serveNext();
     }
 }
 

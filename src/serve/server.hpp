@@ -20,7 +20,8 @@
  * queueing numbers even though the control loop is single-threaded.
  *
  * Admission control (in decision order):
- *   1. malformed request (unknown workload)            -> Failed
+ *   1. malformed request (unknown workload, dataScale
+ *      outside (0, 1], NaN arrival or deadline)        -> Failed
  *   2. resolved deadline == 0                          -> Shed
  *   3. bounded queue at capacity                       -> Shed
  *   4. projected wait (queued-ahead estimated service)
@@ -37,19 +38,21 @@
  * evaluator's reserve hints survive — asserted via Tape::nodeCapacity
  * in the tests). The cache is LRU-bounded at
  * ServerConfig::warmCacheCapacity (serve.warm_evictions counts the
- * evictions). Chain evaluators inside a run stay per-request by
- * design: that is what keeps draws deterministic per request.
+ * evictions). Each request looks the cache up exactly once, at
+ * admission, and holds its model until it is served. Chain evaluators
+ * inside a run stay per-request by design: that is what keeps draws
+ * deterministic per request.
  *
  * Amortized two-tier policy (ServerConfig::amortizedTier, see
  * samplers/amortize.hpp and docs/serving.md): before committing to a
  * full sampling run, the coordinator consults the amortized posterior
  * cache. A cached fit whose acceptance gate (Pareto-k̂, KL vs the NUTS
  * reference, reference split-R̂) passes answers the request in
- * microseconds; a cold key or gate rejection re-enters the queue with
- * the full path forced, and that request's NUTS run — byte-identical
- * to a direct run with the same seed — installs/refreshes the cache
- * entry. Admission's cost model projects the cheap-tier service time
- * whenever the gate is expected to pass.
+ * microseconds; on a cold key or a gate rejection the same serving
+ * pass falls through to the full path, and that request's NUTS run —
+ * byte-identical to a direct run with the same seed — installs or
+ * refreshes the cache entry. Admission's cost model projects the
+ * cheap-tier service time whenever the gate is expected to pass.
  */
 #pragma once
 
@@ -65,7 +68,6 @@
 #include "ppl/evaluator.hpp"
 #include "samplers/amortize.hpp"
 #include "samplers/runner.hpp"
-#include "support/thread_safety.hpp"
 #include "workloads/workload.hpp"
 
 namespace bayes::serve {
@@ -106,7 +108,8 @@ struct Request
     std::string tenant;
     /** Suite workload name (see workloads::suiteNames()). */
     std::string workload;
-    /** Dataset shrink factor in (0, 1] — part of the warm-cache key. */
+    /** Dataset shrink factor in (0, 1] — part of the warm-cache key;
+     * anything else fails at admission. */
     double dataScale = 1.0;
     /**
      * Sampler configuration (algorithm/chains/iterations/seed). The
@@ -118,20 +121,16 @@ struct Request
     /**
      * Wall-clock budget from arrival to completion. Negative means the
      * class default; 0 is unsatisfiable and is shed at admission; +inf
-     * disables the deadline.
+     * disables the deadline; NaN fails at admission.
      */
     double deadlineSeconds = -1.0;
     /**
      * Arrival timestamp on the server's virtual clock (open-loop load
-     * generation). Negative means "now" (the current virtual time).
+     * generation). Negative means "now" (the current virtual time);
+     * NaN fails at admission.
      */
     double arrivalSeconds = -1.0;
     QueryKind query = QueryKind::Summary;
-    /**
-     * Allow the amortized tier to answer this request (only effective
-     * when ServerConfig::amortizedTier is on). Off forces full MCMC.
-     */
-    bool allowAmortized = true;
     /** Keep the full run's draws in Response::run (tests/debugging). */
     bool keepDraws = false;
 };
@@ -198,10 +197,6 @@ struct ServerConfig
 {
     /** Bounded request queue: total across classes. */
     std::size_t queueCapacity = 64;
-    /** Shared-pool width for chain execution (0 = hardware). */
-    int workers = 0;
-    /** Enable projected-wait admission (criterion 4). */
-    bool admitByProjectedWait = true;
     /**
      * Deterministic service-cost model for projections:
      * seconds ~= evals x (costPerEvalSeconds + nodes x costPerNodeSeconds).
@@ -210,35 +205,29 @@ struct ServerConfig
     double costPerNodeSeconds = 2e-9;
 
     /**
-     * Enable the amortized two-tier serving policy: repeat requests
-     * whose acceptance gate passes are answered from the cached ADVI
-     * posterior; cold keys and gate rejections re-enter the queue and
-     * take the full NUTS path (byte-identical draws), whose run then
-     * installs/refreshes the cache entry's reference summary.
+     * Enable the amortized two-tier serving policy for every model that
+     * exposes sufficient statistics: repeat requests whose acceptance
+     * gate passes are answered from the cached ADVI posterior; cold
+     * keys and gate rejections take the full NUTS path in the same
+     * serving pass (byte-identical draws), and that run installs or
+     * refreshes the cache entry's reference summary.
      */
     bool amortizedTier = false;
     /** Cheap-tier fit + gate settings. */
     samplers::amortize::AmortizeConfig amortize;
-    /**
-     * Projected service time of an amortized-tier answer, used by the
-     * admission cost model when the gate is expected to pass.
-     */
-    double amortizedServiceSeconds = 500e-6;
     /** Warm-model cache bound: least-recently-used entries beyond this
      * are evicted (serve.warm_evictions counts them). */
     std::size_t warmCacheCapacity = 32;
 };
 
 /**
- * The serving runtime. Serving stays single-coordinator by design:
- * drain/runSchedule and the per-request bookkeeping (responses, served
- * order, the virtual clock) run on one coordinating thread, exactly
- * like the sampler executor's monitor contract. The *admission-time*
- * state a future concurrent front door would contend on — the bounded
- * priority queues and the warm-model cache — is mutex-guarded and
- * annotated (`BAYES_GUARDED_BY`, lint rule R011), so clang's thread
- * safety analysis rejects any new code path that touches either
- * without the lock.
+ * The serving runtime. One coordinating thread calls submit, drain and
+ * runSchedule, and owns every piece of server state: the queues, both
+ * caches, the responses and the virtual clock. Chains fan out over the
+ * shared pool only inside samplers::runWithDeadline, which joins them
+ * before it returns, so no Server member is ever touched by two
+ * threads and none is locked. Serving a request is one pass on that
+ * thread: pop, amortized tier (when on), full run, bookkeeping.
  */
 class Server
 {
@@ -296,13 +285,17 @@ class Server
 
     /** Amortized-tier accounting snapshot
      * (served + escalated + cold == requests, exactly). */
-    samplers::amortize::Stats amortStats() const;
+    samplers::amortize::Stats amortStats() const
+    {
+        return amortCache_.stats();
+    }
 
     /**
      * Deterministic service-time estimate for @p request (the
      * projected-wait admission input). Warms the model cache on first
      * touch of a (workload, dataScale) key.
-     * @throws bayes::Error for unknown workload names
+     * @throws bayes::Error for unknown workload names and for a
+     *         dataScale outside (0, 1]
      */
     double estimatedServiceSeconds(const Request& request);
 
@@ -331,53 +324,37 @@ class Server
     {
         std::uint64_t id = 0;
         Request request;
-        double arrivalSeconds = 0.0;
-        double deadlineSeconds = 0.0;
+        /** Resolved once at admission; keeps the model alive across an
+         * LRU eviction until the request is served. */
+        std::shared_ptr<WarmModel> model;
         double estimatedSeconds = 0.0;
-        /** Set when an amortized miss/escalation re-enqueued the
-         * request: the second pass must take the full path. */
-        bool forceFull = false;
     };
 
-    /** Amortized-tier attempt outcome (serveNext control flow). */
-    enum class AmortTry
-    {
-        Served,         ///< answered from the cache, bookkeeping done
-        Requeued,       ///< cold/escalated: re-enqueued with forceFull
-        NotAmortizable, ///< model exposes no statistics: full path now
-    };
-
-    std::shared_ptr<WarmModel> warm(const std::string& name,
-                                    double dataScale)
-        BAYES_REQUIRES(mutex_);
-    double estimate(const Request& request, const WarmModel& warm,
-                    bool forceFull) BAYES_REQUIRES(mutex_);
-    double projectedWaitSeconds(SloClass slo) const BAYES_REQUIRES(mutex_);
-    std::size_t queueDepthLocked() const BAYES_REQUIRES(mutex_);
+    std::shared_ptr<WarmModel> warm(const std::string& name, double dataScale);
+    double estimate(const Request& request, const WarmModel& warm);
+    double projectedWaitSeconds(SloClass slo) const;
     void shed(Response& response);
     void fail(Response& response, const std::string& why);
     void serveNext();
-    AmortTry tryAmortized(Response& response, QueueEntry& entry,
-                          double start, double wait);
-    void finishServed(Response& response, QueueEntry& entry);
+    void finishServed(Response& response, const QueueEntry& entry,
+                      bool refreshTier);
+    /** Close a run on the virtual clock: timeline, then Ok or
+     * DeadlineMiss (a response already Failed stays Failed), counters
+     * and histograms. */
+    void complete(Response& response, double serviceSeconds);
 
     ServerConfig config_;
-    /** Guards the admission-time state: queues, warm-model cache, and
-     * the amortized posterior cache. */
-    mutable support::Mutex mutex_;
-    std::array<std::deque<QueueEntry>, kNumSloClasses> queues_
-        BAYES_GUARDED_BY(mutex_);
+    std::array<std::deque<QueueEntry>, kNumSloClasses> queues_;
     /**
      * Keyed (workload, dataScale), LRU-bounded at
-     * ServerConfig::warmCacheCapacity. Entries are shared_ptr so the
-     * serving path can keep its model/evaluator alive unlocked while
-     * the sampler runs even if the entry is evicted meanwhile.
+     * ServerConfig::warmCacheCapacity. Entries are shared_ptr so a
+     * queued or running request keeps its model and evaluator even if
+     * the entry is evicted meanwhile.
      */
     std::map<std::pair<std::string, double>, std::shared_ptr<WarmModel>>
-        warmCache_ BAYES_GUARDED_BY(mutex_);
+        warmCache_;
     /** Amortized posterior cache (the cheap tier). */
-    samplers::amortize::AmortizedCache amortCache_
-        BAYES_GUARDED_BY(mutex_);
+    samplers::amortize::AmortizedCache amortCache_;
     std::vector<Response> responses_;
     std::vector<std::uint64_t> servedOrder_;
     double virtualNow_ = 0.0;

@@ -1,17 +1,22 @@
 /**
  * @file
  * The serving runtime's contracts: admission-control edge cases (full
- * queue, zero deadline, projected-wait shed), strict-priority/FIFO
- * fairness, shed-vs-admit determinism under a fixed seed, warm-model
- * cache reuse without tape re-allocation, deadline enforcement, and the
- * open-loop load generator's reproducibility.
+ * queue, zero deadline, projected-wait shed, NaN or out-of-range
+ * fields), strict-priority/FIFO fairness, shed-vs-admit determinism
+ * under a fixed seed, warm-model cache reuse without tape
+ * re-allocation (one lookup per request), deadline enforcement, one
+ * counted terminal state per request, and the open-loop load
+ * generator's reproducibility.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "serve/load_generator.hpp"
 #include "serve/server.hpp"
 #include "workloads/workload.hpp"
@@ -22,6 +27,7 @@ using namespace bayes;
 using namespace bayes::serve;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /** A deliberately tiny MH job so tests stay fast under sanitizers. */
 samplers::Config
@@ -95,7 +101,6 @@ TEST(Serve, FullQueueSheds)
 {
     ServerConfig config;
     config.queueCapacity = 2;
-    config.admitByProjectedWait = false;
     Server server(config);
 
     const auto a = server.submit(tinyRequest("ad"));
@@ -144,9 +149,7 @@ TEST(Serve, UnknownWorkloadFailsAtAdmission)
 
 TEST(Serve, StrictPriorityThenFifoWithinClass)
 {
-    ServerConfig config;
-    config.admitByProjectedWait = false;
-    Server server(config);
+    Server server;
 
     const auto batch0 = server.submit(tinyRequest("ad", SloClass::Batch));
     const auto std0 = server.submit(tinyRequest("ad", SloClass::Standard));
@@ -222,7 +225,7 @@ TEST(Serve, WarmCacheHitReservesRepeatShapeWithoutTapeReallocation)
     server.drain();
     EXPECT_EQ(server.response(second).status, RequestStatus::Ok);
     EXPECT_EQ(server.warmMisses(), 1u);
-    EXPECT_GE(server.warmHits(), 2u);
+    EXPECT_EQ(server.warmHits(), 1u) << "one lookup per request";
     EXPECT_EQ(server.warmEvaluator("ad", 0.25), eval);
     EXPECT_EQ(eval->tape().nodeCapacity(), nodeCapacity);
     EXPECT_EQ(eval->tape().edgeCapacity(), edgeCapacity);
@@ -241,15 +244,24 @@ TEST(Serve, WarmCacheHitReservesRepeatShapeWithoutTapeReallocation)
     server.submit(scaled);
     server.drain();
     EXPECT_EQ(server.warmMisses(), 2u);
+    EXPECT_EQ(server.warmHits(), 1u);
     EXPECT_NE(server.warmEvaluator("ad", 0.5), nullptr);
     EXPECT_NE(server.warmEvaluator("ad", 0.5), eval);
 }
 
-TEST(Serve, RequestExpiredInQueueIsADeadlineMissWithoutRunning)
+/** Every job projects at 0 s, so criterion 4 never sheds. */
+ServerConfig
+freeCostModel()
 {
     ServerConfig config;
-    config.admitByProjectedWait = false; // let the hopeless job in
-    Server server(config);
+    config.costPerEvalSeconds = 0.0;
+    config.costPerNodeSeconds = 0.0;
+    return config;
+}
+
+TEST(Serve, RequestExpiredInQueueIsADeadlineMissWithoutRunning)
+{
+    Server server(freeCostModel()); // let the hopeless job in
 
     const auto slow = server.submit(tinyRequest("ad", SloClass::Standard));
     // Admitted behind `slow`, with a deadline no real service time can
@@ -264,6 +276,122 @@ TEST(Serve, RequestExpiredInQueueIsADeadlineMissWithoutRunning)
     EXPECT_EQ(r.draws, 0) << "expired request must not run";
     EXPECT_EQ(r.serviceSeconds, 0.0);
     EXPECT_EQ(server.deadlineMisses(), 1u);
+}
+
+TEST(Serve, NanDataScaleFailsAtAdmissionEvenWhenAScaleIsCached)
+{
+    Server server;
+    server.submit(tinyRequest("ad"));
+    server.drain();
+
+    // NaN compares equivalent to 0.25 in the warm cache's key order, so
+    // an unchecked lookup would answer from the cached 0.25 model.
+    for (const double scale : {kNaN, 0.0, -0.5, 2.0}) {
+        Request request = tinyRequest("ad");
+        request.dataScale = scale;
+        const Response& r = server.response(server.submit(request));
+        EXPECT_EQ(r.status, RequestStatus::Failed) << "scale " << scale;
+        EXPECT_NE(r.error.find("dataScale"), std::string::npos) << r.error;
+    }
+    EXPECT_EQ(server.queueDepth(), 0u);
+    EXPECT_EQ(server.admitted(), 1u);
+    EXPECT_EQ(server.warmHits() + server.warmMisses(), 1u)
+        << "a malformed scale must not touch the warm cache";
+}
+
+TEST(Serve, NanArrivalFailsAtAdmission)
+{
+    obs::Registry::global().reset();
+    Server server;
+    Request request = tinyRequest("ad");
+    request.arrivalSeconds = kNaN;
+    const auto id = server.submit(request);
+    server.drain();
+
+    const Response& r = server.response(id);
+    EXPECT_EQ(r.status, RequestStatus::Failed);
+    EXPECT_FALSE(r.error.empty());
+    EXPECT_TRUE(server.servedOrder().empty());
+    EXPECT_EQ(server.virtualNow(), 0.0);
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const obs::HistogramStats* latency =
+        snap.histogram("serve.request_latency");
+    EXPECT_TRUE(latency == nullptr || latency->count == 0u);
+}
+
+TEST(Serve, NanDeadlineFailsAtAdmission)
+{
+    Server server;
+    const auto id = server.submit(tinyRequest("ad", SloClass::Standard, kNaN));
+    server.drain();
+
+    const Response& r = server.response(id);
+    EXPECT_EQ(r.status, RequestStatus::Failed)
+        << "a NaN deadline is not \"no deadline\"";
+    EXPECT_EQ(r.draws, 0);
+    EXPECT_EQ(server.admitted(), 0u);
+}
+
+TEST(Serve, RunScheduleFailsANanArrivalInsteadOfSpinning)
+{
+    std::vector<Request> arrivals(3, tinyRequest("ad"));
+    arrivals[0].arrivalSeconds = 0.5;
+    arrivals[1].arrivalSeconds = kNaN;
+    arrivals[2].arrivalSeconds = 1.0;
+    Server server;
+    server.runSchedule(arrivals);
+
+    ASSERT_EQ(server.responses().size(), 3u);
+    // The NaN arrival sorts and admits as time 0, ahead of the others.
+    EXPECT_EQ(server.response(0).status, RequestStatus::Failed);
+    EXPECT_EQ(server.response(1).status, RequestStatus::Ok);
+    EXPECT_EQ(server.response(2).status, RequestStatus::Ok);
+    EXPECT_EQ(server.servedOrder(), (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_TRUE(std::isfinite(server.virtualNow()));
+}
+
+TEST(Serve, EveryRequestEndsInExactlyOneCountedState)
+{
+    obs::Registry::global().reset();
+    Server server(freeCostModel()); // criterion 4 must not shed `late`
+
+    const auto ok = server.submit(tinyRequest("ad"));
+    const auto shed =
+        server.submit(tinyRequest("ad", SloClass::Standard, 0.0));
+    const auto unknown = server.submit(tinyRequest("no-such-model"));
+    Request noChains = tinyRequest("ad");
+    noChains.config.chains = 0; // admitted, then the run throws
+    const auto runFailure = server.submit(noChains);
+    // Expires in the queue behind `ok`'s real service time.
+    const auto late =
+        server.submit(tinyRequest("ad", SloClass::Standard, 1e-12));
+    server.drain();
+
+    EXPECT_EQ(server.response(ok).status, RequestStatus::Ok);
+    EXPECT_EQ(server.response(shed).status, RequestStatus::Shed);
+    EXPECT_EQ(server.response(unknown).status, RequestStatus::Failed);
+    EXPECT_EQ(server.response(runFailure).status, RequestStatus::Failed);
+    EXPECT_FALSE(server.response(runFailure).error.empty());
+    EXPECT_EQ(server.response(late).status, RequestStatus::DeadlineMiss);
+
+    std::map<RequestStatus, std::uint64_t> states;
+    for (const Response& r : server.responses())
+        ++states[r.status];
+    EXPECT_EQ(states[RequestStatus::Queued], 0u);
+
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    EXPECT_EQ(snap.counter("serve.shed"), states[RequestStatus::Shed]);
+    EXPECT_EQ(snap.counter("serve.deadline_miss"),
+              states[RequestStatus::DeadlineMiss]);
+    EXPECT_EQ(snap.counter("serve.failed"), states[RequestStatus::Failed]);
+    EXPECT_EQ(snap.counter("serve.admitted"), server.admitted());
+    // Admitted requests end Ok, DeadlineMiss or failed at run time; the
+    // admission failure never entered the queue.
+    EXPECT_EQ(server.admitted(), states[RequestStatus::Ok]
+                                     + states[RequestStatus::DeadlineMiss]
+                                     + 1u);
+    EXPECT_EQ(server.admitted() + server.shedCount() + 1u,
+              server.responses().size());
 }
 
 TEST(Serve, RunScheduleJumpsTheVirtualClockBetweenSparseArrivals)
