@@ -180,16 +180,6 @@ class Tape
     /** Cumulative node pushes over the tape's lifetime (work counter). */
     std::uint64_t totalOps() const { return totalOps_; }
 
-    /**
-     * Allocated node-arena capacity. clear() keeps it, so a warm tape
-     * re-serving the same model shape never re-allocates — the serving
-     * layer's warm-cache tests pin this down.
-     */
-    std::size_t nodeCapacity() const { return nodes_.capacity(); }
-
-    /** Allocated wide-edge-arena capacity (see nodeCapacity()). */
-    std::size_t edgeCapacity() const { return edges_.capacity(); }
-
     /** Discard all nodes but keep the arena capacity. */
     void
     clear()

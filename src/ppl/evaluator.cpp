@@ -105,23 +105,20 @@ Evaluator::logProbGrad(const std::vector<double>& q,
         lpVar = ad::Var(-INFINITY);
     }
     lastTapeNodes_ = tape_.size();
-    lastTapeEdges_ = tape_.edgeCount();
     reserveNodes_ = lastTapeNodes_;
-    reserveEdges_ = lastTapeEdges_;
+    reserveEdges_ = tape_.edgeCount();
 
     const double lp = lpVar.value();
     grad.assign(dim(), 0.0);
     if (!std::isfinite(lp) || !lpVar.tracked()) {
         // Divergent/out-of-support: the gradient stays zero but must be
         // well-formed for the sampler's rejection logic.
-        lastTapeBytes_ = tape_.bytes();
         return lp;
     }
     tape_.gradient(lpVar.id(), adjoints_);
-    lastTapeBytes_ = tape_.bytes();
     TapeMetrics& metrics = TapeMetrics::get();
     metrics.nodesPerEval.set(static_cast<double>(lastTapeNodes_));
-    metrics.bytesPerEval.set(static_cast<double>(lastTapeBytes_));
+    metrics.bytesPerEval.set(static_cast<double>(tape_.bytes()));
     for (std::size_t d = 0; d < dim(); ++d)
         grad[d] = adjoints_[u[d].id()];
     return lp;

@@ -111,12 +111,6 @@ class Evaluator
     /** Tape nodes used by the most recent gradient evaluation. */
     std::size_t lastTapeNodes() const { return lastTapeNodes_; }
 
-    /** Wide-node edges used by the most recent gradient evaluation. */
-    std::size_t lastTapeEdges() const { return lastTapeEdges_; }
-
-    /** Tape bytes (nodes + edges + adjoints) of the last gradient eval. */
-    std::size_t lastTapeBytes() const { return lastTapeBytes_; }
-
   private:
     void streamDataShadow();
 
@@ -128,8 +122,6 @@ class Evaluator
     std::uint64_t numEvals_ = 0;
     std::uint64_t numGradEvals_ = 0;
     std::size_t lastTapeNodes_ = 0;
-    std::size_t lastTapeEdges_ = 0;
-    std::size_t lastTapeBytes_ = 0;
     std::size_t reserveNodes_ = 0; ///< tape pre-size hint
     std::size_t reserveEdges_ = 0; ///< edge pre-size hint
     bool scalarLikelihood_ = false;

@@ -79,8 +79,9 @@ class LoadGenerator
 
 /**
  * The stock six-tenant mix over the fused-kernel workloads (ad,
- * tickets, 12cities, disease, votes, survival) used by bench/serve_load
- * and the docs: two interactive tenants on the small logistic models,
+ * tickets, 12cities, disease, votes, survival) used by perfbench's
+ * serve_mix workload, tests/test_serve_load.cpp and the docs: two
+ * interactive tenants on the small logistic models,
  * three standard, one batch tenant pushing the heavier hierarchical
  * model. Sampler configs are deliberately small (MH/HMC, few hundred
  * iterations) so thousands of requests finish in bench time.

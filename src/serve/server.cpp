@@ -7,6 +7,7 @@
 
 #include "diagnostics/summary.hpp"
 #include "obs/obs.hpp"
+#include "ppl/evaluator.hpp"
 #include "support/error.hpp"
 #include "support/timer.hpp"
 
@@ -151,14 +152,13 @@ Server::warm(const std::string& name, double dataScale)
     ServeMetrics::get().warmMisses.add();
     auto entry = std::make_shared<WarmModel>();
     entry->model = workloads::makeWorkload(name, dataScale);
-    entry->eval = std::make_unique<ppl::Evaluator>(*entry->model);
-    // Profile once at the origin: sizes the tape arena (reused for the
-    // key's lifetime) and yields the work-intensity term of the
+    // Profile once at the origin: the work-intensity term of the
     // admission cost model.
-    std::vector<double> q(entry->eval->dim(), 0.0);
+    ppl::Evaluator eval(*entry->model);
+    std::vector<double> q(eval.dim(), 0.0);
     std::vector<double> grad;
-    entry->eval->logProbGrad(q, grad);
-    entry->nodesPerEval = static_cast<double>(entry->eval->lastTapeNodes());
+    eval.logProbGrad(q, grad);
+    entry->nodesPerEval = static_cast<double>(eval.lastTapeNodes());
     entry->amortDigest =
         samplers::amortize::AmortizedCache::statsDigest(*entry->model);
     entry->lastUse = ++warmUseTick_;
@@ -193,8 +193,8 @@ Server::estimate(const Request& request, const WarmModel& warmModel)
         if (cached != nullptr && amortCache_.gate(*cached).pass)
             return kAmortizedServiceSeconds;
     }
-    const double perChain =
-        estimatedEvalsPerChain(request.config, warmModel.eval->dim());
+    const double perChain = estimatedEvalsPerChain(
+        request.config, warmModel.model->layout().dim());
     const double evals =
         perChain * static_cast<double>(std::max(1, request.config.chains));
     return evals
@@ -206,13 +206,6 @@ double
 Server::estimatedServiceSeconds(const Request& request)
 {
     return estimate(request, *warm(request.workload, request.dataScale));
-}
-
-ppl::Evaluator*
-Server::warmEvaluator(const std::string& workload, double dataScale)
-{
-    const auto it = warmCache_.find(std::make_pair(workload, dataScale));
-    return it == warmCache_.end() ? nullptr : it->second->eval.get();
 }
 
 std::size_t
@@ -274,18 +267,19 @@ Server::submit(Request request)
         : request.deadlineSeconds;
     response.deadlineSeconds = deadline;
 
-    // Criterion 1, malformed request: NaN times would poison the
-    // virtual clock and the latency histogram; warm() rejects unknown
-    // workloads and scales outside (0, 1]. The one warm-cache lookup
-    // of the request also prices it.
+    // Criterion 1, malformed request: a NaN time or a +inf arrival
+    // would poison the virtual clock and the latency histogram; warm()
+    // rejects unknown workloads and scales outside (0, 1]. The one
+    // warm-cache lookup of the request also prices it.
     std::shared_ptr<WarmModel> model;
     double estimated = 0.0;
     std::string malformed;
     try {
-        BAYES_CHECK(!std::isnan(request.arrivalSeconds)
-                        && !std::isnan(request.deadlineSeconds),
-                    "serve: arrivalSeconds and deadlineSeconds must not "
-                    "be NaN");
+        BAYES_CHECK(request.arrivalSeconds < kInf,
+                    "serve: arrivalSeconds must not be NaN or +inf, got "
+                        << request.arrivalSeconds);
+        BAYES_CHECK(!std::isnan(request.deadlineSeconds),
+                    "serve: deadlineSeconds must not be NaN");
         model = warm(request.workload, request.dataScale);
         estimated = estimate(request, *model);
     } catch (const Error& e) {
@@ -432,9 +426,10 @@ Server::finishServed(Response& response, const QueueEntry& entry,
                 entry.request.workload, warmModel.amortDigest,
                 entry.request.dataScale};
             samplers::amortize::Entry* cached = amortCache_.find(key);
-            if (cached == nullptr)
-                cached = &amortCache_.fit(key, *warmModel.model,
-                                          *warmModel.eval);
+            if (cached == nullptr) {
+                ppl::Evaluator eval(*warmModel.model);
+                cached = &amortCache_.fit(key, *warmModel.model, eval);
+            }
             amortCache_.installReference(*cached, outcome.run);
         }
     } catch (const Error& e) {
@@ -478,10 +473,12 @@ void
 Server::runSchedule(std::vector<Request> arrivals)
 {
     // One arrival key for the sort, the idle jump and the admit test:
-    // negative ("now") and NaN arrivals are admitted at once, and
-    // submit() fails the NaN ones as malformed.
+    // negative ("now"), NaN and +inf arrivals are admitted at once, and
+    // submit() fails the NaN and +inf ones as malformed.
     const auto due = [](const Request& request) {
-        return std::max(0.0, request.arrivalSeconds);
+        return request.arrivalSeconds < kInf
+            ? std::max(0.0, request.arrivalSeconds)
+            : 0.0;
     };
     std::stable_sort(arrivals.begin(), arrivals.end(),
                      [&](const Request& a, const Request& b) {

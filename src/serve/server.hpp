@@ -21,7 +21,8 @@
  *
  * Admission control (in decision order):
  *   1. malformed request (unknown workload, dataScale
- *      outside (0, 1], NaN arrival or deadline)        -> Failed
+ *      outside (0, 1], NaN or +inf arrival, NaN
+ *      deadline)                                       -> Failed
  *   2. resolved deadline == 0                          -> Shed
  *   3. bounded queue at capacity                       -> Shed
  *   4. projected wait (queued-ahead estimated service)
@@ -31,12 +32,10 @@
  * reproducible under a fixed seed — tests/test_serve.cpp proves it.
  *
  * Warm-model cache: requests are keyed by (workload, dataScale). A miss
- * instantiates the workload (regenerating its synthetic dataset) and a
- * profiling ppl::Evaluator whose first gradient evaluation sizes the
- * tape; a hit reuses both, so a repeat request costs zero dataset
- * regeneration and zero tape re-allocation (the arena and the
- * evaluator's reserve hints survive — asserted via Tape::nodeCapacity
- * in the tests). The cache is LRU-bounded at
+ * instantiates the workload (regenerating its synthetic dataset) and
+ * profiles one gradient evaluation for the cost model's tape-node
+ * term; a hit reuses both, so a repeat request costs no dataset build
+ * and no profile. The cache is LRU-bounded at
  * ServerConfig::warmCacheCapacity (serve.warm_evictions counts the
  * evictions). Each request looks the cache up exactly once, at
  * admission, and holds its model until it is served. Chain evaluators
@@ -65,7 +64,6 @@
 #include <utility>
 #include <vector>
 
-#include "ppl/evaluator.hpp"
 #include "samplers/amortize.hpp"
 #include "samplers/runner.hpp"
 #include "workloads/workload.hpp"
@@ -127,7 +125,7 @@ struct Request
     /**
      * Arrival timestamp on the server's virtual clock (open-loop load
      * generation). Negative means "now" (the current virtual time);
-     * NaN fails at admission.
+     * NaN and +inf fail at admission.
      */
     double arrivalSeconds = -1.0;
     QueryKind query = QueryKind::Summary;
@@ -299,19 +297,10 @@ class Server
      */
     double estimatedServiceSeconds(const Request& request);
 
-    /**
-     * Warm-cache probe: the cached profiling evaluator for a key, or
-     * nullptr when the key was never requested. Test/diagnostic hook —
-     * the serving path owns the evaluator.
-     */
-    ppl::Evaluator* warmEvaluator(const std::string& workload,
-                                  double dataScale);
-
   private:
     struct WarmModel
     {
         std::unique_ptr<workloads::Workload> model;
-        std::unique_ptr<ppl::Evaluator> eval;
         /** Tape nodes of one gradient evaluation (profiled once). */
         double nodesPerEval = 0.0;
         /** Amortized-cache dataset fingerprint (empty: not amortizable). */
@@ -348,8 +337,8 @@ class Server
     /**
      * Keyed (workload, dataScale), LRU-bounded at
      * ServerConfig::warmCacheCapacity. Entries are shared_ptr so a
-     * queued or running request keeps its model and evaluator even if
-     * the entry is evicted meanwhile.
+     * queued or running request keeps its model even if the entry is
+     * evicted meanwhile.
      */
     std::map<std::pair<std::string, double>, std::shared_ptr<WarmModel>>
         warmCache_;

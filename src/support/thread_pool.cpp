@@ -58,27 +58,13 @@ ThreadPool::~ThreadPool()
 std::future<void>
 ThreadPool::submit(std::function<void()> task)
 {
-    // Hand-rolled promise instead of std::packaged_task so the
-    // completion counter is bumped *before* the future resolves: a
-    // caller returning from waitAll() must observe every finished task
-    // in tasksCompleted().
-    auto promise = std::make_shared<std::promise<void>>();
-    std::future<void> future = promise->get_future();
-    auto wrapped = [this, task = std::move(task), promise] {
-        try {
-            task();
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            promise->set_value();
-        } catch (...) {
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            promise->set_exception(std::current_exception());
-        }
-    };
+    std::packaged_task<void()> packaged(std::move(task));
+    std::future<void> future = packaged.get_future();
     std::size_t depth;
     {
         MutexLock lock(mutex_);
         BAYES_CHECK(!stopping_, "submit on a stopping thread pool");
-        queue_.push_back(std::move(wrapped));
+        queue_.push_back(std::move(packaged));
         depth = queue_.size();
     }
     cv_.notify_one();
@@ -92,7 +78,7 @@ ThreadPool::workerLoop()
 {
     PoolMetrics& metrics = PoolMetrics::get();
     for (;;) {
-        std::function<void()> task;
+        std::packaged_task<void()> task;
         {
             const double idleFrom = Clock::now();
             MutexLock lock(mutex_);

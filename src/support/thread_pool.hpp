@@ -19,8 +19,6 @@
  */
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -53,17 +51,13 @@ class ThreadPool
      */
     std::future<void> submit(std::function<void()> task);
 
-    /** Tasks finished since construction (monitoring counter). */
-    std::uint64_t tasksCompleted() const { return completed_.load(); }
-
   private:
     void workerLoop();
 
     Mutex mutex_;
     CondVar cv_;
-    std::deque<std::function<void()>> queue_ BAYES_GUARDED_BY(mutex_);
+    std::deque<std::packaged_task<void()>> queue_ BAYES_GUARDED_BY(mutex_);
     std::vector<std::thread> workers_;
-    std::atomic<std::uint64_t> completed_{0};
     bool stopping_ BAYES_GUARDED_BY(mutex_) = false;
 };
 

@@ -137,32 +137,38 @@ TEST(Elision, RespectsMinDrawsAndInterval)
 TEST(Elision, StopDecisionIsIdenticalUnderEveryExecutionPolicy)
 {
     // The tentpole guarantee: elision composes with parallelism. The
-    // pooled segments must reproduce the sequential schedule's draws,
-    // R-hat trace and stop iteration exactly.
-    const auto wl = workloads::makeWorkload("12cities", 0.25);
-    samplers::Config cfg;
-    cfg.chains = 4;
-    cfg.iterations = 800;
-    const auto sequential = runWithElision(*wl, cfg);
+    // pooled segments (a worker per chain, fewer workers than chains,
+    // the hardware-wide pool) must reproduce the sequential schedule's
+    // draws, R-hat trace and stop iteration exactly.
+    for (const char* name : {"12cities", "votes"}) {
+        SCOPED_TRACE(name);
+        const auto wl = workloads::makeWorkload(name, 0.25);
+        samplers::Config cfg;
+        cfg.chains = 4;
+        cfg.iterations = 800;
+        const auto sequential = runWithElision(*wl, cfg);
 
-    for (const auto policy :
-         {samplers::ExecutionPolicy::pool(cfg.chains),
-          samplers::ExecutionPolicy::pool(2)}) {
-        cfg.execution = policy;
-        const auto parallel = runWithElision(*wl, cfg);
-        EXPECT_EQ(parallel.converged, sequential.converged);
-        EXPECT_EQ(parallel.stoppedAtDraw, sequential.stoppedAtDraw);
-        EXPECT_EQ(parallel.executedIterations,
-                  sequential.executedIterations);
-        ASSERT_EQ(parallel.rhatTrace.size(), sequential.rhatTrace.size());
-        for (std::size_t i = 0; i < parallel.rhatTrace.size(); ++i) {
-            EXPECT_EQ(parallel.rhatTrace[i].draw,
-                      sequential.rhatTrace[i].draw);
-            EXPECT_EQ(parallel.rhatTrace[i].rhat,
-                      sequential.rhatTrace[i].rhat);
+        for (const auto policy :
+             {samplers::ExecutionPolicy::pool(cfg.chains),
+              samplers::ExecutionPolicy::pool(2),
+              samplers::ExecutionPolicy::pool()}) {
+            cfg.execution = policy;
+            const auto parallel = runWithElision(*wl, cfg);
+            EXPECT_EQ(parallel.converged, sequential.converged);
+            EXPECT_EQ(parallel.stoppedAtDraw, sequential.stoppedAtDraw);
+            EXPECT_EQ(parallel.executedIterations,
+                      sequential.executedIterations);
+            ASSERT_EQ(parallel.rhatTrace.size(),
+                      sequential.rhatTrace.size());
+            for (std::size_t i = 0; i < parallel.rhatTrace.size(); ++i) {
+                EXPECT_EQ(parallel.rhatTrace[i].draw,
+                          sequential.rhatTrace[i].draw);
+                EXPECT_EQ(parallel.rhatTrace[i].rhat,
+                          sequential.rhatTrace[i].rhat);
+            }
+            EXPECT_TRUE(
+                harness::identicalRuns(parallel.run, sequential.run));
         }
-        EXPECT_TRUE(
-            harness::identicalRuns(parallel.run, sequential.run));
     }
 }
 

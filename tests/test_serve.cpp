@@ -1,12 +1,11 @@
 /**
  * @file
  * The serving runtime's contracts: admission-control edge cases (full
- * queue, zero deadline, projected-wait shed, NaN or out-of-range
+ * queue, zero deadline, projected-wait shed, NaN, +inf or out-of-range
  * fields), strict-priority/FIFO fairness, shed-vs-admit determinism
- * under a fixed seed, warm-model cache reuse without tape
- * re-allocation (one lookup per request), deadline enforcement, one
- * counted terminal state per request, and the open-loop load
- * generator's reproducibility.
+ * under a fixed seed, warm-model cache reuse (one lookup per request),
+ * deadline enforcement, one counted terminal state per request, and
+ * the open-loop load generator's reproducibility.
  */
 #include <gtest/gtest.h>
 
@@ -205,38 +204,22 @@ TEST(Serve, ShedVsAdmitIsDeterministicUnderAFixedSeed)
     EXPECT_GT(shed, 0u) << "burst shed nothing; capacity check untested";
 }
 
-TEST(Serve, WarmCacheHitReservesRepeatShapeWithoutTapeReallocation)
+TEST(Serve, WarmCacheHitSkipsTheDatasetBuildAndProfile)
 {
+    // A miss builds the dataset and profiles one gradient; a hit on the
+    // same (workload, dataScale) reuses both.
     Server server;
     const auto first = server.submit(tinyRequest("ad"));
     server.drain();
     EXPECT_EQ(server.response(first).status, RequestStatus::Ok);
     EXPECT_EQ(server.warmMisses(), 1u);
+    EXPECT_EQ(server.warmHits(), 0u);
 
-    ppl::Evaluator* eval = server.warmEvaluator("ad", 0.25);
-    ASSERT_NE(eval, nullptr);
-    const std::size_t nodeCapacity = eval->tape().nodeCapacity();
-    const std::size_t edgeCapacity = eval->tape().edgeCapacity();
-    EXPECT_GT(nodeCapacity, 0u);
-
-    // Repeat (workload, dataScale): same cache entry, same evaluator,
-    // same arena — zero re-allocation on the warm path.
     const auto second = server.submit(tinyRequest("ad"));
     server.drain();
     EXPECT_EQ(server.response(second).status, RequestStatus::Ok);
     EXPECT_EQ(server.warmMisses(), 1u);
     EXPECT_EQ(server.warmHits(), 1u) << "one lookup per request";
-    EXPECT_EQ(server.warmEvaluator("ad", 0.25), eval);
-    EXPECT_EQ(eval->tape().nodeCapacity(), nodeCapacity);
-    EXPECT_EQ(eval->tape().edgeCapacity(), edgeCapacity);
-
-    // Driving the warm evaluator again re-serves the profiled shape
-    // inside the reserved arena: still no growth.
-    std::vector<double> q(eval->dim(), 0.1);
-    std::vector<double> grad;
-    eval->logProbGrad(q, grad);
-    EXPECT_EQ(eval->tape().nodeCapacity(), nodeCapacity);
-    EXPECT_EQ(eval->tape().edgeCapacity(), edgeCapacity);
 
     // A different data shape is a different key, hence a fresh entry.
     Request scaled = tinyRequest("ad");
@@ -245,8 +228,6 @@ TEST(Serve, WarmCacheHitReservesRepeatShapeWithoutTapeReallocation)
     server.drain();
     EXPECT_EQ(server.warmMisses(), 2u);
     EXPECT_EQ(server.warmHits(), 1u);
-    EXPECT_NE(server.warmEvaluator("ad", 0.5), nullptr);
-    EXPECT_NE(server.warmEvaluator("ad", 0.5), eval);
 }
 
 /** Every job projects at 0 s, so criterion 4 never sheds. */
@@ -317,6 +298,45 @@ TEST(Serve, NanArrivalFailsAtAdmission)
     const obs::HistogramStats* latency =
         snap.histogram("serve.request_latency");
     EXPECT_TRUE(latency == nullptr || latency->count == 0u);
+}
+
+TEST(Serve, InfiniteArrivalFailsAtAdmission)
+{
+    obs::Registry::global().reset();
+    Request infinite = tinyRequest("ad");
+    infinite.arrivalSeconds = kInf;
+
+    // Direct submit: the +inf arrival fails and the clock stays put, so
+    // the next "now" request keeps a finite latency.
+    Server server;
+    const auto id = server.submit(infinite);
+    server.drain();
+    EXPECT_EQ(server.response(id).status, RequestStatus::Failed);
+    EXPECT_FALSE(server.response(id).error.empty());
+    EXPECT_TRUE(std::isfinite(server.virtualNow()));
+    const auto next = server.submit(tinyRequest("ad"));
+    server.drain();
+    EXPECT_EQ(server.response(next).status, RequestStatus::Ok);
+    EXPECT_TRUE(std::isfinite(server.response(next).latencySeconds));
+
+    // Replayed schedule: admitted at once instead of jumping the clock.
+    std::vector<Request> arrivals{tinyRequest("ad"), infinite};
+    arrivals[0].arrivalSeconds = 0.5;
+    Server scheduled;
+    scheduled.runSchedule(arrivals);
+    ASSERT_EQ(scheduled.responses().size(), 2u);
+    EXPECT_EQ(scheduled.response(0).status, RequestStatus::Failed);
+    EXPECT_EQ(scheduled.response(1).status, RequestStatus::Ok);
+    EXPECT_TRUE(std::isfinite(scheduled.response(1).latencySeconds));
+    EXPECT_EQ(scheduled.servedOrder(), (std::vector<std::uint64_t>{1}));
+    EXPECT_TRUE(std::isfinite(scheduled.virtualNow()));
+
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const obs::HistogramStats* latency =
+        snap.histogram("serve.request_latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->count, 2u);
+    EXPECT_TRUE(std::isfinite(latency->sum));
 }
 
 TEST(Serve, NanDeadlineFailsAtAdmission)

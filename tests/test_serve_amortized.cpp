@@ -3,11 +3,12 @@
  * The amortized two-tier serving policy (`amortized` ctest label):
  * cache/gate unit contracts, the cold -> install -> serve lifecycle,
  * tier accounting exactness, the mixed repeat-heavy trace acceptance
- * criteria (>=50% of requests answered from the cheap tier and repeat
- * p50 service time >=5x better than the all-NUTS baseline), the tier
- * keeping the served order of a tier-off server, LRU warm-cache
- * eviction, and byte-identity of cold/escalated full runs against
- * direct sampler invocations (shared determinism harness).
+ * criteria (>=50% of requests answered from the cheap tier, no
+ * wrong-tier flags, and repeat p50 service time >=5x better than the
+ * all-NUTS baseline), the tier keeping the served order of a tier-off
+ * server, LRU warm-cache eviction, and byte-identity of cold/escalated
+ * full runs against direct sampler invocations (shared determinism
+ * harness).
  */
 #include <gtest/gtest.h>
 
@@ -288,12 +289,14 @@ TEST(ServeAmortized, MixedTraceMeetsTheAmortizationTargets)
     EXPECT_EQ(stats.cold, unique);
     EXPECT_GT(stats.escalated, 0u) << "12cities repeats must escalate";
 
-    // >=50% of the trace answered from the cheap tier.
+    // >=50% of the trace answered from the cheap tier, and no answer
+    // carries both tier flags.
     std::size_t served = 0;
     for (auto id : ids) {
         const Response& r = tiered.response(id);
         EXPECT_EQ(r.status, RequestStatus::Ok)
             << requestStatusName(r.status);
+        EXPECT_FALSE(r.servedAmortized && r.escalated) << "request " << id;
         if (r.servedAmortized)
             ++served;
     }
@@ -307,6 +310,9 @@ TEST(ServeAmortized, MixedTraceMeetsTheAmortizationTargets)
     for (const Request& r : trace)
         baseIds.push_back(baseline.submit(r));
     baseline.drain();
+    for (auto id : baseIds)
+        EXPECT_FALSE(baseline.response(id).servedAmortized)
+            << "tier off, yet request " << id << " claims the cheap tier";
 
     auto repeatP50 = [&](const Server& server,
                          const std::vector<std::uint64_t>& requestIds) {

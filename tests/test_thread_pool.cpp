@@ -27,7 +27,6 @@ TEST(ThreadPool, ExecutesEveryTask)
     waitAll(futures);
     EXPECT_EQ(sum.load(), 5050);
     EXPECT_TRUE(futures.empty());
-    EXPECT_EQ(pool.tasksCompleted(), 100u);
 }
 
 TEST(ThreadPool, ReusableAcrossBatches)
@@ -41,7 +40,6 @@ TEST(ThreadPool, ReusableAcrossBatches)
         waitAll(futures);
         EXPECT_EQ(count.load(), 10);
     }
-    EXPECT_EQ(pool.tasksCompleted(), 30u);
 }
 
 TEST(ThreadPool, FuturePropagatesTaskException)
@@ -76,7 +74,6 @@ TEST(ThreadPool, TwoWorkersRunConcurrently)
             rendezvous.arrive_and_wait();
         }));
     waitAll(futures);
-    EXPECT_EQ(pool.tasksCompleted(), 2u);
 }
 
 TEST(ThreadPool, RejectsNonPositiveWorkerCount)
