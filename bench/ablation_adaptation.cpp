@@ -21,7 +21,8 @@ main()
                  "time(s)"});
     for (const std::string name : {"12cities", "memory", "survival"}) {
         const auto wl = workloads::makeWorkload(name);
-        const auto profile = archsim::profileWorkload(*wl, 4);
+        const auto profile = archsim::profileWorkload(
+            *wl, 4, archsim::TapeKind::Reference);
         for (const bool metric : {true, false}) {
             auto cfg = bench::userConfig(*wl);
             cfg.iterations = 400;

@@ -39,7 +39,8 @@ main()
         std::fprintf(stderr, "[bench] tickets subsample=%.2f...\n",
                      fraction);
         const auto run = samplers::run(wl, cfg);
-        const auto profile = archsim::profileWorkload(wl, 4);
+        const auto profile = archsim::profileWorkload(
+            wl, 4, archsim::TapeKind::Reference);
         const auto work = archsim::extractRunWork(run);
         const auto s1 = archsim::simulateSystem(profile, work, platform, 1);
         const auto s4 = archsim::simulateSystem(profile, work, platform, 4);

@@ -32,7 +32,8 @@ prepareWorkload(const std::string& name, double dataScale, int iterations,
 
     Timer timer;
     entry.run = samplers::run(*entry.workload, cfg);
-    entry.profile = archsim::profileWorkload(*entry.workload, cfg.chains);
+    entry.profile = archsim::profileWorkload(
+        *entry.workload, cfg.chains, archsim::TapeKind::Reference);
     entry.work = archsim::extractRunWork(entry.run);
     std::fprintf(stderr, "[bench] %-10s scale=%.2f iters=%d sampled in %.1fs\n",
                  name.c_str(), dataScale, cfg.iterations, timer.seconds());

@@ -84,7 +84,8 @@ main()
     // Detection runs on the shared pool, one task per chain per R-hat
     // check — the stop draw is identical to the sequential schedule.
     const auto elided = elide::runWithElision(*wl, cfg);
-    const auto profile = archsim::profileWorkload(*wl, cfg.chains);
+    const auto profile = archsim::profileWorkload(
+        *wl, cfg.chains, archsim::TapeKind::Reference);
     const auto platform = archsim::Platform::skylake();
     const auto tFull = archsim::simulateSystem(
         profile, archsim::extractRunWork(fullRun), platform, 4);

@@ -33,7 +33,8 @@ main()
                      name.c_str());
         const auto userRun = samplers::run(*wl, cfg);
         const auto elided = elide::runWithElision(*wl, cfg);
-        const auto profile = archsim::profileWorkload(*wl, cfg.chains);
+        const auto profile = archsim::profileWorkload(
+            *wl, cfg.chains, archsim::TapeKind::Reference);
         const auto userWork = archsim::extractRunWork(userRun);
         const auto elidedWork = archsim::extractRunWork(elided.run);
 

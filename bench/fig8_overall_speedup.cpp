@@ -62,8 +62,10 @@ main()
         cfg2.chains = 2;
         const auto elided2 = elide::runWithElision(*wl, cfg2);
 
-        const auto profile4 = archsim::profileWorkload(*wl, 4);
-        const auto profile2 = archsim::profileWorkload(*wl, 2);
+        const auto profile4 = archsim::profileWorkload(
+            *wl, 4, archsim::TapeKind::Reference);
+        const auto profile2 = archsim::profileWorkload(
+            *wl, 2, archsim::TapeKind::Reference);
         const auto placement = scheduler.place(*wl);
         const auto& target = *placement.platform;
 

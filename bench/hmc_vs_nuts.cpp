@@ -21,7 +21,8 @@ main()
                  "gradevals", "time(s)"});
     for (const std::string name : {"12cities", "ad", "votes", "tickets"}) {
         const auto wl = workloads::makeWorkload(name);
-        const auto profile = archsim::profileWorkload(*wl, 4);
+        const auto profile = archsim::profileWorkload(
+            *wl, 4, archsim::TapeKind::Reference);
         const bool small = name == "12cities";
         std::vector<samplers::Algorithm> algos = {
             samplers::Algorithm::Nuts, samplers::Algorithm::Hmc};

@@ -27,7 +27,8 @@ main()
                  "SIMD+SFU x", "SIMD-only x", "GPU-like x", "bound"});
     for (const auto& name : workloads::suiteNames()) {
         const auto wl = workloads::makeWorkload(name);
-        const auto profile = archsim::profileWorkload(*wl, 1);
+        const auto profile = archsim::profileWorkload(
+            *wl, 1, archsim::TapeKind::Reference);
         const auto& chain = profile.chains[0];
 
         // Reference CPU per-eval time from the core model (no misses:

@@ -95,7 +95,8 @@ main()
     std::printf("\n%s\n", quality.str().c_str());
 
     // Architecture effect.
-    const auto profile = archsim::profileWorkload(*wl, cfg.chains);
+    const auto profile = archsim::profileWorkload(
+        *wl, cfg.chains, archsim::TapeKind::Reference);
     const auto platform = archsim::Platform::skylake();
     const auto tFull = archsim::simulateSystem(
         profile, archsim::extractRunWork(full), platform, 4);

@@ -39,7 +39,8 @@ main()
         cfg.iterations = 200;
         cfg.execution = samplers::ExecutionPolicy::pool();
         const auto run = samplers::run(*wl, cfg);
-        const auto profile = archsim::profileWorkload(*wl, 4);
+        const auto profile = archsim::profileWorkload(
+            *wl, 4, archsim::TapeKind::Reference);
         const auto work = archsim::extractRunWork(run);
 
         const auto placement = scheduler.place(*wl);

@@ -23,7 +23,6 @@ Tape::pushWide(std::span<const NodeId> parents,
         WideSpan{begin, static_cast<std::uint32_t>(parents.size())});
     const NodeId id = static_cast<NodeId>(nodes_.size());
     nodes_.push_back(Node{{0.0, 0.0}, {kWideNode, span}});
-    ++totalOps_;
     ++opCounts_[static_cast<std::size_t>(cls)];
     if (probe_)
         probe_->access(&nodes_[id], sizeof(Node), true);
@@ -36,7 +35,6 @@ Tape::gradient(NodeId output, std::vector<double>& out)
     BAYES_CHECK(output < nodes_.size(), "gradient of unknown node");
     out.assign(nodes_.size(), 0.0);
     out[output] = 1.0;
-    lastAdjointCount_ = out.capacity();
     for (NodeId i = output + 1; i-- > 0;) {
         const double adj = out[i];
         if (probe_)

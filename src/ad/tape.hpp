@@ -162,24 +162,6 @@ class Tape
     /** Number of wide nodes recorded since the last clear(). */
     std::size_t wideCount() const { return wideSpans_.size(); }
 
-    /**
-     * Bytes of live tape storage: node arena + wide-node edge arena and
-     * span table + the caller-owned adjoint buffer the last gradient()
-     * sweep filled (the adjoints live in the caller since the
-     * gradient(out) refactor, but they are part of the sweep's working
-     * set either way).
-     */
-    std::size_t
-    bytes() const
-    {
-        return nodes_.size() * sizeof(Node) + edges_.size() * sizeof(Edge)
-            + wideSpans_.size() * sizeof(WideSpan)
-            + lastAdjointCount_ * sizeof(double);
-    }
-
-    /** Cumulative node pushes over the tape's lifetime (work counter). */
-    std::uint64_t totalOps() const { return totalOps_; }
-
     /** Discard all nodes but keep the arena capacity. */
     void
     clear()
@@ -225,7 +207,6 @@ class Tape
         BAYES_ASSERT(nodes_.size() < kWideNode);
         const NodeId id = static_cast<NodeId>(nodes_.size());
         nodes_.push_back(Node{{w0, w1}, {p0, p1}});
-        ++totalOps_;
         ++opCounts_[static_cast<std::size_t>(cls)];
         if (probe_)
             probe_->access(&nodes_[id], sizeof(Node), true);
@@ -236,8 +217,6 @@ class Tape
     std::vector<Edge> edges_;
     std::vector<WideSpan> wideSpans_;
     std::array<std::uint64_t, kNumOpClasses> opCounts_{};
-    std::uint64_t totalOps_ = 0;
-    std::size_t lastAdjointCount_ = 0;
     MemProbe* probe_ = nullptr;
 };
 

@@ -9,8 +9,8 @@
 namespace bayes::archsim {
 
 WorkloadProfile
-profileWorkload(const ppl::Model& model, int chains, int warmupIters,
-                std::uint64_t seed, bool scalarLikelihood)
+profileWorkload(const ppl::Model& model, int chains, TapeKind tape,
+                int warmupIters, std::uint64_t seed)
 {
     BAYES_CHECK(chains >= 1, "need at least one chain to profile");
     WorkloadProfile profile;
@@ -22,7 +22,7 @@ profileWorkload(const ppl::Model& model, int chains, int warmupIters,
     evals.reserve(chains);
     for (int c = 0; c < chains; ++c) {
         evals.push_back(std::make_unique<ppl::Evaluator>(model));
-        evals.back()->setScalarLikelihood(scalarLikelihood);
+        evals.back()->setScalarLikelihood(tape == TapeKind::Reference);
     }
 
     Rng master(seed);

@@ -40,18 +40,30 @@ struct WorkloadProfile
     std::vector<EvalProfile> chains;
 };
 
+/** Which of a model's two gradient tapes a profile characterizes. */
+enum class TapeKind
+{
+    /**
+     * The per-observation scalar tape (`Model::logProbScalar`): Stan's
+     * autodiff tape, the implementation the paper characterizes (and
+     * finds LLC-bound on ad, survival and tickets). The paper's
+     * figures, ablations and the DSE profile this one.
+     */
+    Reference,
+    /** The fused-kernel tape the samplers actually run (`Model::logProb`). */
+    Fused,
+};
+
 /**
  * Profile @p model with @p chains instrumented chains.
+ * @param tape         which gradient tape to characterize; there is no
+ *                     default, because the two differ by an order of
+ *                     magnitude in working set
  * @param warmupIters  adaptation iterations before capturing (enough to
  *                     reach a representative step size / position)
- * @param scalarLikelihood  profile the reference per-observation scalar
- *                     path (`Model::logProbScalar`) instead of the
- *                     fused-kernel path — the implementation the paper
- *                     characterizes as LLC-bound
  */
 WorkloadProfile profileWorkload(const ppl::Model& model, int chains,
-                                int warmupIters = 30,
-                                std::uint64_t seed = 20190331,
-                                bool scalarLikelihood = false);
+                                TapeKind tape, int warmupIters = 30,
+                                std::uint64_t seed = 20190331);
 
 } // namespace bayes::archsim

@@ -191,7 +191,8 @@ explore(const workloads::Workload& workload,
     auto profileFor = [&](int chains) -> const archsim::WorkloadProfile& {
         auto& slot = profiles[chains];
         if (slot.chains.empty())
-            slot = archsim::profileWorkload(workload, chains);
+            slot = archsim::profileWorkload(
+                workload, chains, archsim::TapeKind::Reference);
         return slot;
     };
 

@@ -10,7 +10,7 @@
  *
  *     static obs::Counter& evals =
  *         obs::Registry::global().counter("sampler.grad_evals");
- *     evals.add(n);                        // relaxed sharded atomic
+ *     evals.add(n);                        // one relaxed atomic add
  *
  *     obs::Span span("sampler.round");     // one relaxed load when idle
  *

@@ -60,31 +60,6 @@ jsonNumber(std::ostream& os, double v)
 
 } // namespace
 
-std::size_t
-threadSlot() noexcept
-{
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return slot;
-}
-
-std::uint64_t
-Counter::value() const noexcept
-{
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_)
-        total += shard.value.load(std::memory_order_relaxed);
-    return total;
-}
-
-void
-Counter::reset() noexcept
-{
-    for (auto& shard : shards_)
-        shard.value.store(0, std::memory_order_relaxed);
-}
-
 int
 Histogram::bucketFor(double v) noexcept
 {

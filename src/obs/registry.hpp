@@ -5,11 +5,12 @@
  * this layer is how the runtime exposes its own).
  *
  * Design constraints, in order:
- *  1. Writers never block writers. Counters are sharded across
- *     cache-line-padded atomics indexed by a per-thread slot, so pool
- *     workers bumping the same counter touch different lines;
- *     histograms use relaxed atomic bucket counts.
- *  2. Reads aggregate. `Registry::snapshot()` sums the shards while
+ *  1. Writers never block writers. A counter is one relaxed atomic
+ *     and a histogram relaxed atomic bucket counts. No metric is
+ *     written more often than once per pool task, and nothing in the
+ *     gradient path (ad, math, ppl) writes one at all, so contention
+ *     on a shared line stays rare.
+ *  2. Reads aggregate. `Registry::snapshot()` reads every metric while
  *     writers keep writing — each metric is individually coherent
  *     (relaxed atomics), the snapshot as a whole is a point-in-time
  *     approximation. After the workload quiesces (e.g. `waitAll`),
@@ -50,10 +51,7 @@ namespace bayes::obs {
 /** True when the observability layer is compiled in (BAYES_OBS=ON). */
 inline constexpr bool kCompiledIn = BAYES_OBS_ENABLED != 0;
 
-/** Small dense per-thread slot id, assigned on first use. */
-std::size_t threadSlot() noexcept;
-
-/** Monotonic event counter, sharded per thread to avoid contention. */
+/** Monotonic event counter. */
 class Counter
 {
   public:
@@ -66,23 +64,20 @@ class Counter
     add(std::uint64_t n = 1) noexcept
     {
         if constexpr (kCompiledIn)
-            shards_[threadSlot() % kShards].value.fetch_add(
-                n, std::memory_order_relaxed);
+            value_.fetch_add(n, std::memory_order_relaxed);
     }
 
-    /** Aggregate over all shards (approximate while writers run). */
-    std::uint64_t value() const noexcept;
+    /** Current count (approximate while writers run). */
+    std::uint64_t value() const noexcept
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
 
-    /** Zero every shard (handles stay valid). */
-    void reset() noexcept;
+    /** Zero the count (handles stay valid). */
+    void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
   private:
-    static constexpr std::size_t kShards = 16;
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> value{0};
-    };
-    std::array<Shard, kShards> shards_{};
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** Last-written double value (e.g. the most recent R-hat). */

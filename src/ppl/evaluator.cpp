@@ -2,26 +2,8 @@
 
 #include <cmath>
 
-#include "obs/registry.hpp"
-
 namespace bayes::ppl {
 namespace {
-
-/** Per-eval tape gauges (see docs/observability.md). */
-struct TapeMetrics
-{
-    obs::Gauge& nodesPerEval =
-        obs::Registry::global().gauge("tape.nodes_per_eval");
-    obs::Gauge& bytesPerEval =
-        obs::Registry::global().gauge("tape.bytes_per_eval");
-
-    static TapeMetrics&
-    get()
-    {
-        static TapeMetrics* m = new TapeMetrics; // leaked, like Registry
-        return *m;
-    }
-};
 
 /**
  * Constrain a flat unconstrained vector, returning the constrained
@@ -63,7 +45,6 @@ double
 Evaluator::logProb(const std::vector<double>& q)
 {
     BAYES_CHECK(q.size() == dim(), "point has wrong dimension");
-    ++numEvals_;
     try {
         double logJ = 0.0;
         const std::vector<double> x = constrainAll(*layout_, q, logJ);
@@ -116,9 +97,6 @@ Evaluator::logProbGrad(const std::vector<double>& q,
         return lp;
     }
     tape_.gradient(lpVar.id(), adjoints_);
-    TapeMetrics& metrics = TapeMetrics::get();
-    metrics.nodesPerEval.set(static_cast<double>(lastTapeNodes_));
-    metrics.bytesPerEval.set(static_cast<double>(tape_.bytes()));
     for (std::size_t d = 0; d < dim(); ++d)
         grad[d] = adjoints_[u[d].id()];
     return lp;

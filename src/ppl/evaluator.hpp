@@ -102,9 +102,6 @@ class Evaluator
     /** AD tape (attach probes or inspect size here). */
     ad::Tape& tape() { return tape_; }
 
-    /** Number of value-only evaluations performed (lanes, not calls). */
-    std::uint64_t numEvals() const { return numEvals_; }
-
     /** Number of gradient evaluations performed (lanes, not calls). */
     std::uint64_t numGradEvals() const { return numGradEvals_; }
 
@@ -119,7 +116,6 @@ class Evaluator
     ad::Tape tape_;
     std::vector<double> adjoints_;
     std::vector<std::uint8_t> dataShadow_;
-    std::uint64_t numEvals_ = 0;
     std::uint64_t numGradEvals_ = 0;
     std::size_t lastTapeNodes_ = 0;
     std::size_t reserveNodes_ = 0; ///< tape pre-size hint

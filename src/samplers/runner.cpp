@@ -140,7 +140,6 @@ class ChainState
                           result.iterStats.end(),
                           [](const IterationStat& s) { return s.divergent; }));
         result.totalGradEvals = eval_.numGradEvals();
-        result.tapeNodesPerEval = eval_.lastTapeNodes();
     }
 
     ChainResult result;

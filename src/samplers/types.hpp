@@ -1,9 +1,11 @@
 /**
  * @file
  * Shared sampler result and configuration types. Work counters
- * (gradient evaluations, leapfrog steps, tape sizes) are first-class
- * because the architecture model consumes them to reconstruct
- * per-chain latency — including the paper's slowest-chain effect.
+ * (gradient evaluations per iteration and per chain, tree depths) are
+ * first-class because the architecture model consumes them to
+ * reconstruct per-chain latency — including the paper's slowest-chain
+ * effect. The tape's size per gradient is not a run counter: archsim
+ * reads it from its own profile (`archsim::profileWorkload`).
  */
 #pragma once
 
@@ -121,8 +123,6 @@ struct ChainResult
     std::uint64_t totalGradEvals = 0;
     /** Count of divergent transitions post warmup. */
     std::uint64_t divergences = 0;
-    /** Tape nodes per gradient evaluation (work intensity metric). */
-    std::size_t tapeNodesPerEval = 0;
 
     /** Post-warmup gradient-evaluation count (latency proxy). */
     std::uint64_t postWarmupGradEvals() const;

@@ -150,7 +150,6 @@ TEST(Ad, ClearReusesArena)
         EXPECT_NEAR(adj[x.id()], std::exp(1.0 + rep) + 1.0, 1e-10);
         EXPECT_EQ(tape.size(), 3u); // leaf, exp, add
     }
-    EXPECT_EQ(tape.totalOps(), 9u); // totalOps accumulates across clears
 }
 
 TEST(Ad, OpClassAccounting)
@@ -226,13 +225,6 @@ TEST(Ad, ProbeSeesNodePushesAndGradientSweep)
     const int after = probe.count;
     (void)leaf(tape, 2.0);
     EXPECT_EQ(probe.count, after); // detached probe sees nothing
-}
-
-TEST(Ad, BytesReflectsNodeStorage)
-{
-    Tape tape;
-    (void)leaf(tape, 1.0);
-    EXPECT_GE(tape.bytes(), sizeof(Node));
 }
 
 TEST(Ad, MultivariateGradientMatchesFiniteDifference)

@@ -143,7 +143,6 @@ TEST(EvalBatch, EmptyAndAllRejectedBatches)
     ppl::EvalBatch grads;
     eval.logProbBatch(empty, lp);
     eval.logProbGradBatch(empty, lp, grads);
-    EXPECT_EQ(eval.numEvals(), 0u);
     EXPECT_EQ(eval.numGradEvals(), 0u);
 
     // Every lane infeasible: finite gradients (zero), -inf values.

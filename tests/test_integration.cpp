@@ -47,8 +47,9 @@ miniPipeline()
             cfg.iterations = 120;
             const auto run = samplers::run(*wl, cfg);
             const auto profile = archsim::profileWorkload(
-                *wl, 4, 15, 20190331, /*scalarLikelihood=*/true);
-            const auto fusedProfile = archsim::profileWorkload(*wl, 4, 15);
+                *wl, 4, archsim::TapeKind::Reference, 15);
+            const auto fusedProfile = archsim::profileWorkload(
+                *wl, 4, archsim::TapeKind::Fused, 15);
             const auto work = archsim::extractRunWork(run);
             const auto sky = archsim::simulateSystem(
                 profile, work, archsim::Platform::skylake(), 4);
@@ -123,7 +124,8 @@ TEST(Integration, ElisionPlusSimulationGivesSpeedup)
     const auto elided = elide::runWithElision(*wl, cfg);
     ASSERT_TRUE(elided.converged);
 
-    const auto profile = archsim::profileWorkload(*wl, 4, 15);
+    const auto profile =
+        archsim::profileWorkload(*wl, 4, archsim::TapeKind::Fused, 15);
     const auto platform = archsim::Platform::skylake();
     const auto tFull = archsim::simulateSystem(
         profile, archsim::extractRunWork(full), platform, 4);

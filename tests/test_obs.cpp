@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability layer contract: sharded counters aggregate exactly
- * under concurrent pool-worker writes, histogram quantiles stay within
+ * Observability layer contract: counters stay exact under concurrent
+ * pool-worker writes, histogram quantiles stay within
  * the documented log-bucket resolution, snapshots taken while writers
  * run are race-free (exercised under TSan via the `sanitize` label),
  * and the tracer emits structurally valid Chrome trace_event JSON.
@@ -239,7 +239,7 @@ TEST(Counter, AddAndReset)
 TEST(Counter, ConcurrentPoolIncrementsAggregateExactly)
 {
     // Many pool workers hammering one counter: after quiescing, the
-    // shard sum must be exact — no lost updates across shards.
+    // count must be exact — no lost updates.
     Counter c;
     support::ThreadPool pool(4);
     constexpr int kTasks = 64;

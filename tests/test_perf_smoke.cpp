@@ -2,12 +2,14 @@
  * @file
  * Performance smoke tests. On the `ad` attribution workload the fused
  * tape must stay at or below 25% of the scalar reference tape's node
- * count while producing the same log density and gradient, and a
+ * count while producing the same log density and gradient, a
  * steady-state gradient on `ad` and `tickets` must make no more heap
- * allocations than its ceiling. Runs as a plain ctest under the
- * `perf-smoke` label so CI catches regressions that quietly re-inflate
- * the tape (e.g. a kernel falling back to the scalar loop) or add
- * allocations to the gradient path.
+ * allocations than its ceiling, and one runtime R-hat check must stay
+ * under the paper's §VI-A overhead. Runs as a plain ctest under the
+ * `perf-smoke` label (never under a sanitizer, which would distort the
+ * timing) so CI catches regressions that quietly re-inflate the tape
+ * (e.g. a kernel falling back to the scalar loop), add allocations to
+ * the gradient path, or slow the convergence detector.
  */
 #include <gtest/gtest.h>
 
@@ -17,8 +19,11 @@
 #include <new>
 #include <vector>
 
+#include "elide/elision.hpp"
 #include "ppl/evaluator.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
+#include "support/timer.hpp"
 #include "workloads/suite.hpp"
 
 namespace {
@@ -136,6 +141,33 @@ TEST(PerfSmoke, SteadyStateGradientStaysUnderAllocationCeiling)
             << c.name << ": " << static_cast<double>(allocations) / kCalls
             << " allocations per gradient";
     }
+}
+
+TEST(PerfSmoke, RhatCheckStaysUnderThePapersOverhead)
+{
+    // §VI-A: one convergence check in the paper's worst case (2000
+    // draws, 4 chains, the second half used) costs 0.06 s on one
+    // Skylake core. 67 coordinates is the suite's largest parameter
+    // vector (tickets).
+    constexpr int kChains = 4, kDraws = 2000, kDim = 67;
+    Rng rng(1234);
+    std::vector<samplers::ChainResult> chains(kChains);
+    for (auto& chain : chains) {
+        chain.draws.assign(kDraws, std::vector<double>(kDim));
+        for (auto& draw : chain.draws)
+            for (auto& x : draw)
+                x = rng.normal();
+    }
+
+    std::vector<double> seconds;
+    for (int rep = 0; rep < 5; ++rep) {
+        Timer timer;
+        const double rhat = elide::detectorRhat(chains, kDraws, 0.5);
+        seconds.push_back(timer.seconds());
+        ASSERT_TRUE(std::isfinite(rhat));
+    }
+    EXPECT_LT(quantile(seconds, 0.5), 0.06)
+        << "median R-hat check " << quantile(seconds, 0.5) << " s";
 }
 
 } // namespace

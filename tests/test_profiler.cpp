@@ -16,7 +16,7 @@ namespace {
 TEST(Profiler, ProducesOneProfilePerChain)
 {
     const auto wl = workloads::makeWorkload("12cities", 0.5);
-    const auto profile = profileWorkload(*wl, 3, 10);
+    const auto profile = profileWorkload(*wl, 3, TapeKind::Fused, 10);
     ASSERT_EQ(profile.chains.size(), 3u);
     for (const auto& chain : profile.chains) {
         EXPECT_FALSE(chain.trace.empty());
@@ -31,9 +31,8 @@ TEST(Profiler, ProducesOneProfilePerChain)
 TEST(Profiler, ScalarPathProfilesLargerThanFused)
 {
     const auto wl = workloads::makeWorkload("12cities", 0.5);
-    const auto fused = profileWorkload(*wl, 1, 10);
-    const auto scalar = profileWorkload(*wl, 1, 10, 20190331,
-                                        /*scalarLikelihood=*/true);
+    const auto fused = profileWorkload(*wl, 1, TapeKind::Fused, 10);
+    const auto scalar = profileWorkload(*wl, 1, TapeKind::Reference, 10);
     // The scalar reference path builds per-observation nodes; the fused
     // path must be at least 4x smaller (the PR's acceptance bar).
     EXPECT_GT(scalar.chains[0].tapeNodes, 4 * fused.chains[0].tapeNodes);
@@ -43,7 +42,7 @@ TEST(Profiler, ScalarPathProfilesLargerThanFused)
 TEST(Profiler, OpCountsSumToTapeNodes)
 {
     const auto wl = workloads::makeWorkload("ad", 0.25);
-    const auto profile = profileWorkload(*wl, 1, 10);
+    const auto profile = profileWorkload(*wl, 1, TapeKind::Fused, 10);
     const auto& chain = profile.chains[0];
     std::uint64_t total = 0;
     for (auto c : chain.opCounts)
@@ -54,7 +53,7 @@ TEST(Profiler, OpCountsSumToTapeNodes)
 TEST(Profiler, ChainsOccupyDisjointAddressRanges)
 {
     const auto wl = workloads::makeWorkload("ode", 0.5);
-    const auto profile = profileWorkload(*wl, 2, 10);
+    const auto profile = profileWorkload(*wl, 2, TapeKind::Fused, 10);
     auto range = [](const EvalProfile& p) {
         std::uint64_t lo = ~0ull, hi = 0;
         for (const auto& a : p.trace) {
@@ -92,7 +91,7 @@ TEST(Profiler, ChainsOccupyDisjointAddressRanges)
 TEST(Profiler, TraceContainsReadsAndWrites)
 {
     const auto wl = workloads::makeWorkload("votes", 0.5);
-    const auto profile = profileWorkload(*wl, 1, 10);
+    const auto profile = profileWorkload(*wl, 1, TapeKind::Fused, 10);
     std::size_t reads = 0, writes = 0;
     for (const auto& a : profile.chains[0].trace)
         (a.write ? writes : reads) += 1;
@@ -106,18 +105,16 @@ TEST(Profiler, TraceSizeTracksTapeSize)
     // the larger tape and therefore the larger trace.
     const auto big = workloads::makeWorkload("tickets", 0.5);
     const auto small = workloads::makeWorkload("butterfly", 0.5);
-    const auto bp = profileWorkload(*big, 1, 8, 20190331,
-                                    /*scalarLikelihood=*/true);
-    const auto sp = profileWorkload(*small, 1, 8, 20190331,
-                                    /*scalarLikelihood=*/true);
+    const auto bp = profileWorkload(*big, 1, TapeKind::Reference, 8);
+    const auto sp = profileWorkload(*small, 1, TapeKind::Reference, 8);
     EXPECT_GT(bp.chains[0].trace.size(), sp.chains[0].trace.size());
 }
 
 TEST(Profiler, DeterministicAcrossCalls)
 {
     const auto wl = workloads::makeWorkload("racial", 0.5);
-    const auto a = profileWorkload(*wl, 1, 10, 99);
-    const auto b = profileWorkload(*wl, 1, 10, 99);
+    const auto a = profileWorkload(*wl, 1, TapeKind::Fused, 10, 99);
+    const auto b = profileWorkload(*wl, 1, TapeKind::Fused, 10, 99);
     EXPECT_EQ(a.chains[0].tapeNodes, b.chains[0].tapeNodes);
     EXPECT_EQ(a.chains[0].trace.size(), b.chains[0].trace.size());
 }
@@ -125,7 +122,7 @@ TEST(Profiler, DeterministicAcrossCalls)
 TEST(Profiler, RejectsZeroChains)
 {
     const auto wl = workloads::makeWorkload("ad", 0.25);
-    EXPECT_THROW(profileWorkload(*wl, 0), Error);
+    EXPECT_THROW(profileWorkload(*wl, 0, TapeKind::Fused), Error);
 }
 
 TEST(TraceCapture, RespectsCap)

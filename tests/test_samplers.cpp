@@ -192,7 +192,6 @@ TEST(Samplers, WorkCountersArePopulated)
         EXPECT_EQ(chain.iterStats.size(), 300u);
         EXPECT_EQ(chain.draws.size(), 150u); // default warmup = half
         EXPECT_GT(chain.totalGradEvals, 300u);
-        EXPECT_GT(chain.tapeNodesPerEval, 0u);
         EXPECT_GT(chain.postWarmupGradEvals(), 0u);
         std::uint64_t evals = 0;
         for (const auto& s : chain.iterStats)

@@ -7,7 +7,7 @@ layer diagram, inside a fenced block:
     freestanding: support/thread_safety.hpp support/timer.hpp
     obs:
     support: obs
-    ppl: ad math obs support
+    ppl: ad math support
     ```
 
 One line per layer (`layer: allowed-dependency layers...`), plus a

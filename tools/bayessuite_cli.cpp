@@ -162,7 +162,8 @@ simulate(const workloads::Workload& wl, const samplers::RunResult& run,
         : archsim::Platform::broadwell();
     BAYES_CHECK(platformName == "skylake" || platformName == "broadwell",
                 "unknown platform '" << platformName << "'");
-    const auto profile = archsim::profileWorkload(wl, chains);
+    const auto profile = archsim::profileWorkload(
+        wl, chains, archsim::TapeKind::Reference);
     const auto sim = archsim::simulateSystem(
         profile, archsim::extractRunWork(run), platform, cores);
     std::printf("\nsimulated on %s, %d cores:\n", platform.name.c_str(),
