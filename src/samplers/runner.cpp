@@ -41,6 +41,13 @@ struct RunnerMetrics
     }
 };
 
+/** First warmup iteration of the variance phase (the 15% mark). */
+int
+varianceStart(int warmup)
+{
+    return std::max(1, warmup * 15 / 100);
+}
+
 /** Everything one chain needs to advance independently. */
 class ChainState
 {
@@ -57,6 +64,8 @@ class ChainState
             const double eps = ham_.findReasonableStepSize(z_, rng_);
             da_ = std::make_unique<DualAveraging>(eps, config.targetAccept);
             setStepSize(eps);
+            if (config_.adaptMetric)
+                windowEnds_ = metricWindowEnds(config_.resolvedWarmup());
         }
         welford_.assign(eval_.dim(), RunningStats{});
     }
@@ -65,10 +74,6 @@ class ChainState
     void
     warmupIteration(int t)
     {
-        const int warmup = config_.resolvedWarmup();
-        const int phase1End = std::max(1, warmup * 15 / 100);
-        const int phase2End = std::max(phase1End + 1, warmup * 90 / 100);
-
         const double acceptStat = advance();
 
         if (config_.algorithm == Algorithm::Mh) {
@@ -85,26 +90,16 @@ class ChainState
         da_->update(acceptStat);
         setStepSize(da_->stepSize());
 
-        if (t >= phase1End && t < phase2End) {
+        if (window_ < windowEnds_.size()
+            && t >= varianceStart(config_.resolvedWarmup())) {
             for (std::size_t i = 0; i < z_.q.size(); ++i)
                 welford_[i].add(z_.q[i]);
-        }
-        if (config_.adaptMetric && t + 1 == phase2End
-            && welford_[0].count() >= 10) {
-            std::vector<double> invMetric(z_.q.size());
-            // Regularized variance estimate (Stan's shrinkage prior).
-            const double n = static_cast<double>(welford_[0].count());
-            for (std::size_t i = 0; i < invMetric.size(); ++i) {
-                invMetric[i] = (n / (n + 5.0)) * welford_[i].variance()
-                    + 1e-3 * (5.0 / (n + 5.0));
+            if (t + 1 == windowEnds_[window_]) {
+                installMetric();
+                ++window_;
             }
-            ham_.setInvMetric(std::move(invMetric));
-            ham_.refresh(z_);
-            const double eps = ham_.findReasonableStepSize(z_, rng_);
-            da_->restart(eps);
-            setStepSize(eps);
         }
-        if (t + 1 == warmup) {
+        if (t + 1 == config_.resolvedWarmup()) {
             setStepSize(da_->adaptedStepSize());
             result.stepSize = da_->adaptedStepSize();
         }
@@ -195,6 +190,28 @@ class ChainState
         hmc_.setStepSize(eps);
     }
 
+    /**
+     * End a metric window: install its regularized variance estimate
+     * (Stan's shrinkage prior), restart step-size adaptation from a
+     * freshly found step, and start the next window's estimate empty.
+     */
+    void
+    installMetric()
+    {
+        std::vector<double> invMetric(z_.q.size());
+        const double n = static_cast<double>(welford_[0].count());
+        for (std::size_t i = 0; i < invMetric.size(); ++i) {
+            invMetric[i] = (n / (n + 5.0)) * welford_[i].variance()
+                + 1e-3 * (5.0 / (n + 5.0));
+            welford_[i].reset();
+        }
+        ham_.setInvMetric(std::move(invMetric));
+        ham_.refresh(z_);
+        const double eps = ham_.findReasonableStepSize(z_, rng_);
+        da_->restart(eps);
+        setStepSize(eps);
+    }
+
     const Config& config_;
     ppl::Evaluator eval_;
     Hamiltonian ham_;
@@ -205,8 +222,10 @@ class ChainState
     SliceSampler slice_;
     PhasePoint z_;
     std::unique_ptr<DualAveraging> da_;
-    std::vector<RunningStats> welford_;
-    std::vector<double> acceptStats_; ///< one per post-warmup iteration
+    std::vector<RunningStats> welford_; ///< the current window's moments
+    std::vector<int> windowEnds_;       ///< metricWindowEnds(), if adapting
+    std::size_t window_ = 0;            ///< the current metric window
+    std::vector<double> acceptStats_;   ///< one per post-warmup iteration
 };
 
 using States = std::vector<std::unique_ptr<ChainState>>;
@@ -357,6 +376,23 @@ findInitialPoint(ppl::Evaluator& eval, Rng& rng, std::uint64_t seed)
     throw Error(os.str());
 }
 
+std::vector<int>
+metricWindowEnds(int warmup)
+{
+    const int begin = varianceStart(warmup);
+    const int end = std::max(begin + 1, warmup * 90 / 100);
+    std::vector<int> ends;
+    for (int from = begin, size = 25; from < end; size *= 2) {
+        // Stretch this window to the phase's end when the next one,
+        // twice as long, would not fit after it.
+        const int to = from + size + 2 * size > end ? end : from + size;
+        if (to - from >= 10)
+            ends.push_back(to);
+        from = to;
+    }
+    return ends;
+}
+
 RunResult
 run(const ppl::Model& model, const Config& config,
     const IterationMonitor& monitor)
@@ -368,6 +404,8 @@ DeadlineRunResult
 runWithDeadline(const ppl::Model& model, const Config& config,
                 double deadlineSeconds, const IterationMonitor& monitor)
 {
+    BAYES_CHECK(model.layout().dim() >= 1,
+                "model '" << model.name() << "' has no parameters to sample");
     BAYES_CHECK(config.chains >= 1, "need at least one chain");
     BAYES_CHECK(config.iterations > config.resolvedWarmup(),
                 "iterations must exceed warmup");

@@ -24,11 +24,13 @@
  * segments are one draw long, so a chain queued behind others never
  * starts sampling after the deadline.
  *
- * Warmup adaptation mirrors Stan's windowed scheme in simplified form:
- * an initial step-size-only phase, a long variance-accumulation phase
- * that ends by installing the diagonal metric, and a final step-size
- * re-adaptation phase. Neither the monitor nor the deadline acts during
- * warmup.
+ * Warmup adaptation follows Stan's windowed scheme: an initial
+ * step-size-only phase (the first 15% of warmup), a variance phase
+ * (to the 90% mark) split into doubling windows, and a final step-size
+ * re-adaptation phase. Each window end installs the diagonal metric
+ * estimated over that window alone and restarts step-size adaptation
+ * (see metricWindowEnds). Neither the monitor nor the deadline acts
+ * during warmup.
  */
 #pragma once
 
@@ -106,6 +108,8 @@ struct DeadlineRunResult
  *    divergences describe that kept prefix, while totalGradEvals counts
  *    the discarded iterations too;
  *  - infinity disables the check and the run is plain run();
+ *  - a model with no parameters is rejected with bayes::Error under
+ *    every algorithm;
  *  - the deadline changes only *when the run stops*, never any chain's
  *    trajectory, so delivered draws are a prefix of the undeadlined
  *    run's draws under every ExecutionPolicy.
@@ -120,6 +124,17 @@ DeadlineRunResult runWithDeadline(const ppl::Model& model,
                                   const Config& config,
                                   double deadlineSeconds,
                                   const IterationMonitor& monitor = {});
+
+/**
+ * Warmup iteration counts after which NUTS/HMC install a diagonal
+ * metric (Stan's doubling windows). The variance phase runs from the
+ * 15% to the 90% mark of @p warmup; its first window is 25 iterations
+ * and each later one twice the last, and a window stretches to the 90%
+ * mark whenever the next one would not fit before it. A window shorter
+ * than 10 iterations installs nothing. Examples: 60 → {54},
+ * 150 → {47, 135}, 1000 → {175, 225, 325, 900}.
+ */
+std::vector<int> metricWindowEnds(int warmup);
 
 /**
  * Draw a finite-density initial point on the unconstrained scale

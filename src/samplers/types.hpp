@@ -79,7 +79,10 @@ struct Config
     int maxTreeDepth = 10;
     /** Leapfrog steps for static HMC. */
     int hmcLeapfrogSteps = 32;
-    /** Adapt the diagonal metric during warmup (ablation knob). */
+    /**
+     * Adapt the diagonal metric during warmup, in Stan's doubling
+     * windows (samplers::metricWindowEnds); an ablation knob.
+     */
     bool adaptMetric = true;
     /** How chains are executed (see ExecutionPolicy). */
     ExecutionPolicy execution;

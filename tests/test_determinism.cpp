@@ -44,6 +44,18 @@ TEST(Determinism, DrawsAreByteIdenticalAcrossPolicySweep)
             }
         }
     }
+    // Warmup 18 has one metric window; warmup 100 has two (ending at
+    // iterations 40 and 90), so these cells also cover the resets.
+    const auto ad = workloads::makeWorkload("ad", 0.25);
+    for (const auto algo :
+         {samplers::Algorithm::Hmc, samplers::Algorithm::Nuts}) {
+        SCOPED_TRACE(::testing::Message() << "ad warmup 100 algo "
+                                          << samplers::algorithmName(algo));
+        auto cfg = sweepConfig(algo, 777);
+        cfg.iterations = 110;
+        cfg.warmup = 100;
+        harness::expectPolicyInvariantDraws(*ad, cfg);
+    }
 }
 
 TEST(Determinism, StopIterationIsPolicyInvariant)

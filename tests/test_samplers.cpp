@@ -1,14 +1,16 @@
 /**
  * @file
  * Sampler correctness: posterior moment recovery on analytically known
- * targets for MH, HMC and NUTS; dual-averaging behavior; runner
- * determinism; the executor guarantees (identical draws and stop
- * decisions under every ExecutionPolicy); the monitor contract; and
- * the deadline contract, with and without queued chains.
+ * targets for MH, HMC and NUTS; dual-averaging behavior; the warmup's
+ * metric windows; runner determinism; the executor guarantees
+ * (identical draws and stop decisions under every ExecutionPolicy); the
+ * monitor contract; and the deadline contract, with and without queued
+ * chains.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -67,6 +69,51 @@ class GaussianTarget : public ppl::Model
     }
 
     std::string name_ = "gaussian2d";
+    ppl::ParamLayout layout_;
+};
+
+/**
+ * Axis-aligned 4-D Gaussian whose standard deviations span four
+ * decades: on the unit metric NUTS needs deep trees, on an adapted
+ * diagonal metric shallow ones.
+ */
+class ScaledGaussianTarget : public ppl::Model
+{
+  public:
+    ScaledGaussianTarget()
+        : layout_({{"x", kSd.size(), ppl::TransformKind::Identity, 0, 0}})
+    {
+    }
+
+    const std::string& name() const override { return name_; }
+    const ppl::ParamLayout& layout() const override { return layout_; }
+    std::size_t modeledDataBytes() const override { return 0; }
+
+    double logProb(const ppl::ParamView<double>& p) const override
+    {
+        return body(p);
+    }
+    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override
+    {
+        return body(p);
+    }
+
+    static constexpr std::array<double, 4> kSd{0.01, 0.1, 10.0, 100.0};
+
+  private:
+    template <typename T>
+    T
+    body(const ppl::ParamView<T>& p) const
+    {
+        T lp(0.0);
+        for (std::size_t i = 0; i < kSd.size(); ++i) {
+            const T z = p.at(0, i) / kSd[i];
+            lp -= 0.5 * z * z;
+        }
+        return lp;
+    }
+
+    std::string name_ = "scaled_gaussian4d";
     ppl::ParamLayout layout_;
 };
 
@@ -221,6 +268,94 @@ TEST(Samplers, ConfigValidation)
     Config badPool;
     badPool.execution = ExecutionPolicy::pool(-2);
     EXPECT_THROW(run(model, badPool), Error);
+}
+
+/** A model with no parameters: nothing for a sampler to move. */
+class EmptyTarget : public ppl::Model
+{
+  public:
+    const std::string& name() const override { return name_; }
+    const ppl::ParamLayout& layout() const override { return layout_; }
+    std::size_t modeledDataBytes() const override { return 0; }
+
+    double logProb(const ppl::ParamView<double>&) const override
+    {
+        return 0.0;
+    }
+    ad::Var logProb(const ppl::ParamView<ad::Var>&) const override
+    {
+        return ad::Var(0.0);
+    }
+
+  private:
+    std::string name_ = "empty";
+    ppl::ParamLayout layout_;
+};
+
+TEST(Samplers, ZeroParameterModelIsRejected)
+{
+    // NUTS and HMC used to read the first coordinate's variance
+    // accumulator, out of bounds, at the end of the metric window.
+    EmptyTarget model;
+    for (const auto algo : {Algorithm::Nuts, Algorithm::Hmc, Algorithm::Mh,
+                            Algorithm::Slice}) {
+        SCOPED_TRACE(algorithmName(algo));
+        try {
+            run(model, baseConfig(algo, 200));
+            ADD_FAILURE() << "expected a zero-parameter rejection";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find("'empty' has no parameters"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Samplers, MetricWindowEndsDoubleInsideTheBuffers)
+{
+    // Variance phase from the 15% to the 90% mark: windows of 25, 50,
+    // 100, ... iterations, the last stretched to the 90% mark, and one
+    // window whenever that phase is shorter than 25 + 50 iterations.
+    const struct
+    {
+        int warmup;
+        std::vector<int> ends;
+    } cases[] = {
+        {18, {16}},
+        {30, {27}},
+        {60, {54}},
+        {100, {40, 90}},
+        {150, {47, 135}},
+        {1000, {175, 225, 325, 900}},
+    };
+    for (const auto& c : cases)
+        EXPECT_EQ(metricWindowEnds(c.warmup), c.ends)
+            << "warmup " << c.warmup;
+    // Fewer than 10 variance draws estimate no metric.
+    EXPECT_TRUE(metricWindowEnds(12).empty());
+    EXPECT_EQ(metricWindowEnds(13), std::vector<int>{11});
+}
+
+TEST(Samplers, MetricLandsAtTheFirstWindowEnd)
+{
+    // Warmup 150 ends its first metric window at iteration 47, so the
+    // trees shrink from there, not only after the last window (135).
+    ScaledGaussianTarget model;
+    Config cfg;
+    cfg.chains = 1;
+    cfg.iterations = 300;
+    cfg.warmup = 150;
+    cfg.seed = 777;
+    const auto stats = run(model, cfg).chains[0].iterStats;
+    const auto meanDepth = [&stats](int from, int to) {
+        RunningStats depth;
+        for (int t = from; t < to; ++t)
+            depth.add(stats[static_cast<std::size_t>(t)].treeDepth);
+        return depth.mean();
+    };
+    EXPECT_LE(meanDepth(50, 135), meanDepth(22, 47) - 1.5)
+        << "unit-metric depth " << meanDepth(22, 47)
+        << ", after the first window " << meanDepth(50, 135);
 }
 
 TEST(DualAveraging, ConvergesTowardTargetFromBothSides)

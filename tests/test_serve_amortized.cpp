@@ -35,7 +35,13 @@ namespace am = samplers::amortize;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kScale = 0.25;
 
-/** Small-but-convergent NUTS job (the full path under test). */
+/**
+ * Small-but-convergent NUTS job (the full path under test). A reference
+ * of 2 chains x 100 draws is short: on "votes" its max split-R̂ exceeds
+ * the gate's 1.10 at about one seed in six, so the tier outcomes these
+ * tests expect (ad and votes served, 12cities escalated) hold for a
+ * fixed seed at which both references sit well inside the gate.
+ */
 samplers::Config
 nutsConfig()
 {
@@ -43,6 +49,7 @@ nutsConfig()
     config.algorithm = samplers::Algorithm::Nuts;
     config.chains = 2;
     config.iterations = 200;
+    config.seed = 5;
     return config;
 }
 
