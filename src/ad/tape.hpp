@@ -12,7 +12,9 @@
  * parent[0] and an index into `wideSpans_` in parent[1], and its K
  * weighted edges live contiguously in `edges_`. One wide node replaces
  * the O(data) scalar subgraph a vectorized lpdf would otherwise record
- * (see docs/architecture.md, "Wide tape nodes & fused kernels").
+ * (see docs/architecture.md, "Wide tape nodes & fused kernels"). A tape
+ * switched to per-observation mode (setPerObservation) has the kernels
+ * record that scalar subgraph instead: the reference tape.
  *
  * The tape also carries an optional MemProbe. When attached, every node
  * push, edge-arena store, and adjoint read/write reports its real
@@ -162,6 +164,18 @@ class Tape
     /** Number of wide nodes recorded since the last clear(). */
     std::size_t wideCount() const { return wideSpans_.size(); }
 
+    /**
+     * Record the per-observation reference tape: with this on, the
+     * fused kernels in math/vec_kernels.hpp record the scalar loop a
+     * Stan model would, one term per observation, instead of one wide
+     * node. archsim characterizes this tape (the paper's); the samplers
+     * run with it off, the default. clear() keeps the setting.
+     */
+    void setPerObservation(bool on) { perObservation_ = on; }
+
+    /** True when kernels record the per-observation reference tape. */
+    bool perObservation() const { return perObservation_; }
+
     /** Discard all nodes but keep the arena capacity. */
     void
     clear()
@@ -218,6 +232,7 @@ class Tape
     std::vector<WideSpan> wideSpans_;
     std::array<std::uint64_t, kNumOpClasses> opCounts_{};
     MemProbe* probe_ = nullptr;
+    bool perObservation_ = false;
 };
 
 } // namespace bayes::ad

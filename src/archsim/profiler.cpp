@@ -22,7 +22,7 @@ profileWorkload(const ppl::Model& model, int chains, TapeKind tape,
     evals.reserve(chains);
     for (int c = 0; c < chains; ++c) {
         evals.push_back(std::make_unique<ppl::Evaluator>(model));
-        evals.back()->setScalarLikelihood(tape == TapeKind::Reference);
+        evals.back()->tape().setPerObservation(tape == TapeKind::Reference);
     }
 
     Rng master(seed);

@@ -44,13 +44,14 @@ struct WorkloadProfile
 enum class TapeKind
 {
     /**
-     * The per-observation scalar tape (`Model::logProbScalar`): Stan's
+     * The per-observation tape (`ad::Tape::setPerObservation`), on
+     * which the fused kernels record one term per observation: Stan's
      * autodiff tape, the implementation the paper characterizes (and
      * finds LLC-bound on ad, survival and tickets). The paper's
      * figures, ablations and the DSE profile this one.
      */
     Reference,
-    /** The fused-kernel tape the samplers actually run (`Model::logProb`). */
+    /** The fused-kernel tape the samplers actually run (wide nodes). */
     Fused,
 };
 

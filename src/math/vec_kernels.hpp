@@ -2,14 +2,26 @@
  * @file
  * Fused vectorized likelihood kernels with analytic adjoints.
  *
- * Each kernel makes one pass over the observed data computing the log
- * density together with the analytic partial derivative for every
- * parameter, then records a single wide tape node (ad::Tape::pushWide)
- * carrying one edge per parameter. This is the optimization Stan's
- * `*_glm_lpdf` vectorized kernels popularized: the per-observation
- * scalar subgraph (~5-15 nodes each) collapses into one node, so the
- * tape working set the reverse sweep touches shrinks by an order of
- * magnitude while the data pass itself is unchanged.
+ * A kernel records its term in one of two ways, chosen by the tape its
+ * tracked arguments are recorded on:
+ *
+ * - Fused (the default). One pass over the observed data computes the
+ *   log density together with the analytic partial derivative for
+ *   every parameter, then records a single wide tape node
+ *   (ad::Tape::pushWide) carrying one edge per parameter. This is the
+ *   optimization Stan's `*_glm_lpdf` vectorized kernels popularized:
+ *   the per-observation scalar subgraph (~5-15 nodes each) collapses
+ *   into one node, so the tape working set the reverse sweep touches
+ *   shrinks by an order of magnitude while the data pass itself is
+ *   unchanged.
+ * - Per observation (ad::Tape::setPerObservation). The kernel records
+ *   the scalar loop a Stan model would: one math/distributions.hpp
+ *   term per observation, summed from the first term on, so
+ *   `lp += kernel(...)` adds exactly the nodes a loop of `lp += term`
+ *   adds. This is the reference tape the paper characterizes
+ *   (archsim::TapeKind::Reference). The fused-only kernels record a
+ *   wide node in either mode; each one's comment names the density
+ *   that branches to its own loop before calling it.
  *
  * Every kernel is templated so each parameter can independently be a
  * plain double (fixed hyperparameter) or an ad::Var; the all-double
@@ -18,10 +30,10 @@
  *
  * The GLM kernels accumulate the same per-observation expressions in
  * the same order as the scalar loops; the sufficient-statistic kernels
- * use algebraically equal closed forms. Either way fused and scalar
- * log densities agree to ~1e-13 relative (not bitwise), and gradients
- * likewise (the scalar tape accumulates adjoints in reverse-sweep
- * order, the kernels in forward data order).
+ * use algebraically equal closed forms. Either way the two modes' log
+ * densities agree to ~1e-13 relative (not bitwise), and gradients
+ * likewise (the per-observation tape accumulates adjoints in
+ * reverse-sweep order, the fused kernels in forward data order).
  * tests/test_vec_kernels.cpp pins both properties.
  */
 #pragma once
@@ -32,7 +44,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "math/functions.hpp"
+#include "math/distributions.hpp"
 
 namespace bayes::math {
 
@@ -80,6 +92,65 @@ class WideTerm
     ad::Tape* tape_ = nullptr;
 };
 
+/** Tape a tracked argument is recorded on, or nullptr. */
+inline const ad::Tape*
+tapeOf(double)
+{
+    return nullptr;
+}
+
+inline const ad::Tape*
+tapeOf(const ad::Var& v)
+{
+    return v.tracked() ? v.tape() : nullptr;
+}
+
+/** Tape of the first tracked element of a parameter span, or nullptr. */
+template <typename T>
+const ad::Tape*
+tapeOf(std::span<const T> vs)
+{
+    if constexpr (std::is_same_v<T, ad::Var>) {
+        for (const ad::Var& v : vs)
+            if (v.tracked())
+                return v.tape();
+    }
+    return nullptr;
+}
+
+/**
+ * True when the first tracked parameter argument is recorded on a tape
+ * in per-observation mode (ad::Tape::setPerObservation). A parameter
+ * span's first element is tracked on every gradient path, so the check
+ * is one lookup.
+ */
+template <typename... Params>
+bool
+perObservation(const Params&... params)
+{
+    const ad::Tape* tape = nullptr;
+    (void)((tape = tapeOf(params)) || ...);
+    return tape && tape->perObservation();
+}
+
+/**
+ * The scalar loop term(0) + term(1) + ... a per-observation kernel
+ * records. The sum starts from the first term, so each further
+ * observation adds the one AddSub node of a loop's `lp += term`; an
+ * empty loop sums to constant zero.
+ */
+template <typename Term>
+ad::Var
+perObservationSum(std::size_t n, Term term)
+{
+    if (n == 0)
+        return ad::Var(0.0);
+    ad::Var sum = term(0);
+    for (std::size_t i = 1; i < n; ++i)
+        sum += term(i);
+    return sum;
+}
+
 /** Values of a (double or Var) parameter span, for the fused data pass. */
 template <typename T>
 inline std::vector<double>
@@ -99,7 +170,10 @@ values(std::span<const T> xs)
 
 /**
  * Sum of Normal(mu, sigma) log densities over a data vector, fused via
- * the (shifted) sufficient statistics n, Σ(y-μ), Σ(y-μ)².
+ * the (shifted) sufficient statistics n, Σ(y-μ), Σ(y-μ)². Fused in
+ * either mode: densities reach it only on their value-only path (a
+ * double parameter block is a data span), and no density's gradient
+ * path calls it.
  */
 template <typename TMu, typename TSigma>
 promote_t<TMu, TSigma>
@@ -132,13 +206,18 @@ normal_lpdf_vec(std::span<const double> ys, const TMu& mu,
 /**
  * Sum of Normal(mu, sigma) log densities over a *parameter* vector
  * (e.g. a hierarchical prior over group effects): one wide node with an
- * edge per element plus the location/scale edges.
+ * edge per element plus the location/scale edges, or per observation
+ * one normal_lpdf term per element.
  */
 template <typename TMu, typename TSigma>
 ad::Var
 normal_lpdf_vec(std::span<const ad::Var> ys, const TMu& mu,
                 const TSigma& sigma)
 {
+    if (detail::perObservation(ys, mu, sigma))
+        return detail::perObservationSum(ys.size(), [&](std::size_t i) {
+            return normal_lpdf(ys[i], mu, sigma);
+        });
     const double muV = valueOf(mu);
     const double inv = 1.0 / valueOf(sigma);
     const double n = static_cast<double>(ys.size());
@@ -161,7 +240,7 @@ normal_lpdf_vec(std::span<const ad::Var> ys, const TMu& mu,
 /**
  * Sum of Normal(mu_i, sigma) log densities with a per-observation
  * location parameter (e.g. data around a latent function), one shared
- * scale.
+ * scale; per observation, one normal_lpdf term per element.
  */
 template <typename TMu, typename TSigma>
 promote_t<TMu, TSigma>
@@ -170,6 +249,12 @@ normal_lpdf_vec(std::span<const double> ys, std::span<const TMu> mus,
 {
     using R = promote_t<TMu, TSigma>;
     BAYES_ASSERT(ys.size() == mus.size());
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        if (detail::perObservation(mus, sigma))
+            return detail::perObservationSum(ys.size(), [&](std::size_t i) {
+                return normal_lpdf(ys[i], mus[i], sigma);
+            });
+    }
     const double inv = 1.0 / valueOf(sigma);
     const double n = static_cast<double>(ys.size());
     detail::WideTerm t;
@@ -192,10 +277,17 @@ normal_lpdf_vec(std::span<const double> ys, std::span<const TMu> mus,
     }
 }
 
-/** Sum of standard normal log densities over a parameter vector. */
+/**
+ * Sum of standard normal log densities over a parameter vector; per
+ * observation, one std_normal_lpdf term per element.
+ */
 inline ad::Var
 std_normal_lpdf_vec(std::span<const ad::Var> zs)
 {
+    if (detail::perObservation(zs))
+        return detail::perObservationSum(zs.size(), [&](std::size_t i) {
+            return std_normal_lpdf(zs[i]);
+        });
     detail::WideTerm t;
     t.reserve(zs.size());
     double ss = 0.0;
@@ -219,14 +311,21 @@ std_normal_lpdf_vec(std::span<const double> zs)
 }
 
 // ---------------------------------------------------------------------
-// Exponential / Gamma / Negative binomial
+// Exponential
 // ---------------------------------------------------------------------
 
-/** Sum of Exponential(rate) log densities over a parameter vector. */
+/**
+ * Sum of Exponential(rate) log densities over a parameter vector; per
+ * observation, one exponential_lpdf term per element.
+ */
 template <typename TRate>
 ad::Var
 exponential_lpdf_vec(std::span<const ad::Var> ys, const TRate& rate)
 {
+    if (detail::perObservation(ys, rate))
+        return detail::perObservationSum(ys.size(), [&](std::size_t i) {
+            return exponential_lpdf(ys[i], rate);
+        });
     const double rateV = valueOf(rate);
     const double n = static_cast<double>(ys.size());
     detail::WideTerm t;
@@ -241,7 +340,11 @@ exponential_lpdf_vec(std::span<const ad::Var> ys, const TRate& rate)
     return t.emit(value);
 }
 
-/** Sum of Exponential(rate) log densities over a data vector. */
+/**
+ * Sum of Exponential(rate) log densities over a data vector. Fused in
+ * either mode: disease's value-only path calls it (a double parameter
+ * block is a data span), and no gradient path does.
+ */
 template <typename TRate>
 promote_t<TRate>
 exponential_lpdf_vec(std::span<const double> ys, const TRate& rate)
@@ -262,76 +365,6 @@ exponential_lpdf_vec(std::span<const double> ys, const TRate& rate)
     }
 }
 
-/**
- * Sum of Gamma(shape, rate) log densities over a data vector, fused via
- * the sufficient statistics n, Σlog y, Σy.
- */
-template <typename TShape, typename TRate>
-promote_t<TShape, TRate>
-gamma_lpdf_vec(std::span<const double> ys, const TShape& shape,
-               const TRate& rate)
-{
-    using R = promote_t<TShape, TRate>;
-    const double shapeV = valueOf(shape);
-    const double rateV = valueOf(rate);
-    const double n = static_cast<double>(ys.size());
-    double slog = 0.0, sy = 0.0;
-    for (double y : ys) {
-        slog += std::log(y);
-        sy += y;
-    }
-    const double value = n * (shapeV * std::log(rateV) - lgammaSafe(shapeV))
-        + (shapeV - 1.0) * slog - rateV * sy;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        t.reserve(2);
-        t.edge(shape, n * (std::log(rateV) - digamma(shapeV)) + slog);
-        t.edge(rate, n * shapeV / rateV - sy);
-        return t.emit(value);
-    } else {
-        return value;
-    }
-}
-
-/**
- * Sum of neg_binomial_2(mu, phi) log masses over a count vector
- * (mean/overdispersion parameterization).
- */
-template <typename TMu, typename TPhi>
-promote_t<TMu, TPhi>
-neg_binomial_2_lpmf_vec(std::span<const long> ys, const TMu& mu,
-                        const TPhi& phi)
-{
-    using R = promote_t<TMu, TPhi>;
-    const double muV = valueOf(mu);
-    const double phiV = valueOf(phi);
-    const double logMu = std::log(muV);
-    const double logPhi = std::log(phiV);
-    const double logMuPhi = std::log(muV + phiV);
-    const double lgPhi = lgammaSafe(phiV);
-    const double digPhi = digamma(phiV);
-    double value = 0.0, dMu = 0.0, dPhi = 0.0;
-    for (long y : ys) {
-        const double ky = static_cast<double>(y);
-        value += lgammaSafe(ky + phiV) - lgammaSafe(ky + 1.0) - lgPhi
-            + phiV * (logPhi - logMuPhi) + ky * (logMu - logMuPhi);
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            dMu += ky / muV - (ky + phiV) / (muV + phiV);
-            dPhi += digamma(ky + phiV) - digPhi + logPhi - logMuPhi + 1.0
-                - (ky + phiV) / (muV + phiV);
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        t.reserve(2);
-        t.edge(mu, dMu);
-        t.edge(phi, dPhi);
-        return t.emit(value);
-    } else {
-        return value;
-    }
-}
-
 // ---------------------------------------------------------------------
 // GLM kernels: value + all partials in one pass over the design matrix
 // ---------------------------------------------------------------------
@@ -340,6 +373,8 @@ neg_binomial_2_lpmf_vec(std::span<const long> ys, const TMu& mu,
  * Bernoulli-logit GLM: sum of bernoulli_logit_lpmf(y_i, alpha + x_i·β)
  * over rows of the row-major n×K design matrix @p x. Residuals
  * r_i = y_i - invLogit(eta_i) give ∂α = Σ r_i and ∂β_k = Σ r_i x_ik.
+ * Per observation, each row records its linear predictor and one
+ * bernoulli_logit_lpmf term.
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
@@ -351,6 +386,16 @@ bernoulli_logit_glm_lpmf(std::span<const int> ys,
     const std::size_t n = ys.size();
     const std::size_t numK = betas.size();
     BAYES_ASSERT(x.size() == n * numK);
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        if (detail::perObservation(alpha, betas))
+            return detail::perObservationSum(n, [&](std::size_t i) {
+                const double* row = x.data() + i * numK;
+                R eta = alpha;
+                for (std::size_t k = 0; k < numK; ++k)
+                    eta += betas[k] * row[k];
+                return bernoulli_logit_lpmf(ys[i], eta);
+            });
+    }
     const double alphaV = valueOf(alpha);
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
@@ -390,7 +435,8 @@ bernoulli_logit_glm_lpmf(std::span<const int> ys,
  * @param offset  per-row additive data offset (e.g. log exposure); may
  *                be empty
  * Residuals r_i = y_i - exp(eta_i) give ∂α_g = Σ_{i: g_i=g} r_i and
- * ∂β_k = Σ r_i x_ik.
+ * ∂β_k = Σ r_i x_ik. Per observation, each row records its linear
+ * predictor and one poisson_log_lpmf term.
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
@@ -407,6 +453,20 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
     BAYES_ASSERT(group.empty() || group.size() >= n);
     BAYES_ASSERT(offset.empty() || offset.size() >= n);
     BAYES_ASSERT(!alphas.empty());
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        if (detail::perObservation(alphas, betas))
+            return detail::perObservationSum(n, [&](std::size_t i) {
+                const double* row = x.data() + i * numK;
+                R eta = alphas[group.empty()
+                                   ? 0
+                                   : static_cast<std::size_t>(group[i])];
+                for (std::size_t k = 0; k < numK; ++k)
+                    eta += betas[k] * row[k];
+                if (!offset.empty())
+                    eta += offset[i];
+                return poisson_log_lpmf(ys[i], eta);
+            });
+    }
     const std::vector<double> alphaV = detail::values(alphas);
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
@@ -450,7 +510,9 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
 /**
  * Normal identity-link GLM: sum of normal_lpdf(y_i, alpha + x_i·β,
  * sigma). With z_i = (y_i - mu_i)/sigma: ∂α = Σ z_i/σ, ∂β_k = Σ z_i
- * x_ik/σ, ∂σ = Σ (z_i² - 1)/σ.
+ * x_ik/σ, ∂σ = Σ (z_i² - 1)/σ. Fused in either mode: disease's density
+ * branches to its own per-observation loop before calling it, since its
+ * two likelihood terms share one score per visit.
  */
 template <typename TAlpha, typename TBeta, typename TSigma>
 promote_t<TAlpha, TBeta, TSigma>
@@ -503,7 +565,8 @@ normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
  * Bernoulli-logit GLM on an affinely rescaled score: sum of
  * bernoulli_logit_lpmf(y_i, scale * (x_i·w - shift)). With residuals
  * r_i as above: ∂w_k = Σ r_i·scale·x_ik, ∂scale = Σ r_i (x_i·w -
- * shift), ∂shift = -scale Σ r_i.
+ * shift), ∂shift = -scale Σ r_i. Fused in either mode: disease's
+ * density branches to its own per-observation loop before calling it.
  */
 template <typename TW, typename TScale, typename TShift>
 promote_t<TW, TScale, TShift>
@@ -560,7 +623,9 @@ bernoulli_logit_scaled_glm_lpmf(std::span<const int> ys,
  * Weighted sum Σ w_i v_i of tracked scalars with data weights as one
  * wide node (∂v_i = w_i). Collapses repeated likelihood contributions
  * (e.g. the capture-history terms of the survival model, where w_i
- * counts how many individuals share term v_i).
+ * counts how many individuals share term v_i). Fused in either mode:
+ * survival's density branches to its per-individual loop before
+ * calling it.
  */
 inline ad::Var
 dot_vec(std::span<const ad::Var> vs, std::span<const double> ws)

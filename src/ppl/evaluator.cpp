@@ -49,8 +49,7 @@ Evaluator::logProb(const std::vector<double>& q)
         double logJ = 0.0;
         const std::vector<double> x = constrainAll(*layout_, q, logJ);
         const ParamView<double> view(*layout_, x);
-        const double lp = scalarLikelihood_ ? model_->logProbScalar(view)
-                                            : model_->logProb(view);
+        const double lp = model_->logProb(view);
         // -inf + finite Jacobian stays -inf: an infeasible point keeps
         // zero density no matter its transform terms.
         return lp + logJ;
@@ -79,9 +78,7 @@ Evaluator::logProbGrad(const std::vector<double>& q,
         const std::vector<ad::Var> x = constrainAll(*layout_, u, logJ);
         streamDataShadow();
         const ParamView<ad::Var> view(*layout_, x);
-        lpVar = (scalarLikelihood_ ? model_->logProbScalar(view)
-                                   : model_->logProb(view))
-            + logJ;
+        lpVar = model_->logProb(view) + logJ;
     } catch (const Error&) {
         lpVar = ad::Var(-INFINITY);
     }

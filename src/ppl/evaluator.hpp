@@ -80,26 +80,9 @@ class Evaluator
     std::vector<double> constrain(const std::vector<double>& q) const;
 
     /**
-     * Route evaluations through the model's scalar-loop path
-     * (Model::logProbScalar) instead of the fused-kernel path. Used by
-     * tests and benchmarks to compare the two tapes; defaults to off.
-     * Toggling resets the tape reserve hint so the next evaluation on
-     * the other path does not pre-size to the wrong tape shape.
+     * AD tape: attach probes, inspect its size, or switch it to the
+     * per-observation reference tape (ad::Tape::setPerObservation).
      */
-    void
-    setScalarLikelihood(bool on)
-    {
-        if (on != scalarLikelihood_) {
-            reserveNodes_ = 0;
-            reserveEdges_ = 0;
-        }
-        scalarLikelihood_ = on;
-    }
-
-    /** True when evaluations use the scalar-loop path. */
-    bool scalarLikelihood() const { return scalarLikelihood_; }
-
-    /** AD tape (attach probes or inspect size here). */
     ad::Tape& tape() { return tape_; }
 
     /** Number of gradient evaluations performed (lanes, not calls). */
@@ -120,7 +103,6 @@ class Evaluator
     std::size_t lastTapeNodes_ = 0;
     std::size_t reserveNodes_ = 0; ///< tape pre-size hint
     std::size_t reserveEdges_ = 0; ///< edge pre-size hint
-    bool scalarLikelihood_ = false;
 };
 
 } // namespace bayes::ppl

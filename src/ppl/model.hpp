@@ -10,6 +10,7 @@
 
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "ad/var.hpp"
@@ -128,6 +129,23 @@ class ParamView
     /** Underlying layout. */
     const ParamLayout& layout() const { return *layout_; }
 
+    /**
+     * True when the values are recorded on a tape in per-observation
+     * mode (ad::Tape::setPerObservation); always false for double. A
+     * density branches on this where no kernel records its reference
+     * loop.
+     */
+    bool
+    perObservation() const
+    {
+        if constexpr (std::is_same_v<T, ad::Var>) {
+            for (const ad::Var& v : *values_)
+                if (v.tracked())
+                    return v.tape()->perObservation();
+        }
+        return false;
+    }
+
   private:
     const ParamLayout* layout_;
     const std::vector<T>* values_;
@@ -151,28 +169,12 @@ class Model
     /** Log joint density, value-only path. */
     virtual double logProb(const ParamView<double>& p) const = 0;
 
-    /** Log joint density, gradient (taped) path. */
-    virtual ad::Var logProb(const ParamView<ad::Var>& p) const = 0;
-
     /**
-     * Scalar-loop (per-observation) log density. Workloads ported onto
-     * the fused math::*_vec kernels keep their original scalar body
-     * behind this entry point so tests and benchmarks can compare the
-     * two tapes; the default forwards to logProb for workloads with a
-     * single implementation.
+     * Log joint density, gradient (taped) path. On a tape in
+     * per-observation mode (ad::Tape::setPerObservation) the fused
+     * kernels record the per-observation reference tape instead.
      */
-    virtual double
-    logProbScalar(const ParamView<double>& p) const
-    {
-        return logProb(p);
-    }
-
-    /** Scalar-loop log density, gradient (taped) path. */
-    virtual ad::Var
-    logProbScalar(const ParamView<ad::Var>& p) const
-    {
-        return logProb(p);
-    }
+    virtual ad::Var logProb(const ParamView<ad::Var>& p) const = 0;
 
     /**
      * Bytes of observed data iterated per likelihood evaluation — the

@@ -67,29 +67,6 @@ AdAttribution::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-template <typename T>
-T
-AdAttribution::logDensityScalar(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& intercept = p.scalar(kIntercept);
-
-    T lp = normal_lpdf(intercept, 0.0, 2.0);
-    for (std::size_t k = 0; k < numFeatures_; ++k)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kBeta, k), 0.0, 1.0);
-
-    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-        T eta = intercept;
-        const double* row = &features_[i * numFeatures_];
-        for (std::size_t k = 0; k < numFeatures_; ++k)
-            eta += p.at(kBeta, k) * row[k];
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += bernoulli_logit_lpmf(outcomes_[i], eta);
-    }
-    return lp;
-}
-
 double
 AdAttribution::logProb(const ppl::ParamView<double>& p) const
 {
@@ -100,18 +77,6 @@ ad::Var
 AdAttribution::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
-}
-
-double
-AdAttribution::logProbScalar(const ppl::ParamView<double>& p) const
-{
-    return logDensityScalar(p);
-}
-
-ad::Var
-AdAttribution::logProbScalar(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensityScalar(p);
 }
 
 std::vector<double>

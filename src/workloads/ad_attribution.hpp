@@ -22,8 +22,6 @@ class AdAttribution : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
-    double logProbScalar(const ppl::ParamView<double>& p) const override;
-    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of survey respondents. */
     std::size_t numRespondents() const { return outcomes_.size(); }
@@ -43,8 +41,6 @@ class AdAttribution : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numFeatures_;
     std::vector<int> outcomes_;

@@ -125,36 +125,56 @@ AnimalSurvival::logDensity(const ppl::ParamView<T>& p) const
     }
 
     // Per-group recapture and the chi ("never seen again") recursion,
-    // flattened to [g * (T-1) + t] so the count weights can dot them.
+    // flattened to [g * (T-1) + t] and [g * T + t] so the count weights
+    // can dot them.
     std::vector<T> logP(numGroups_ * (numT - 1));
     std::vector<T> log1mP(numGroups_ * (numT - 1));
-    std::vector<T> logChi(numGroups_ * numT, T(0.0));
-    std::vector<T> chi(numT);
+    std::vector<T> chi(numGroups_ * numT);
     using std::exp;
     using std::log;
     using ad::exp;
     using ad::log;
     for (std::size_t g = 0; g < numGroups_; ++g) {
         const std::size_t row = g * (numT - 1);
+        const std::size_t at = g * numT;
         for (std::size_t t = 0; t + 1 < numT; ++t) {
             // Recapture probability at occasion t+1 for group g.
             const T eta = muP + p.at(kPRaw, t) + p.at(kEps, g);
             logP[row + t] = -log1pExp(-eta);
             log1mP[row + t] = -log1pExp(eta);
         }
-        chi[numT - 1] = T(1.0);
+        chi[at + numT - 1] = T(1.0);
         for (std::size_t t = numT - 1; t-- > 0;) {
             // chi_t = (1 - phi_t) + phi_t (1 - p_{t+1}) chi_{t+1}
             const T survivedMissed =
-                exp(logPhi[t] + log1mP[row + t]) * chi[t + 1];
-            chi[t] = exp(log1mPhi[t]) + survivedMissed;
+                exp(logPhi[t] + log1mP[row + t]) * chi[at + t + 1];
+            chi[at + t] = exp(log1mPhi[t]) + survivedMissed;
         }
-        // Only take logs where some individual was last seen at t;
-        // unused entries stay constant zero and drop out of the dot.
-        for (std::size_t t = 0; t < numT; ++t)
-            if (chiCount_[g * numT + t] != 0.0)
-                logChi[g * numT + t] = log(chi[t]);
     }
+
+    if (p.perObservation()) {
+        // The reference tape walks each capture history and takes one
+        // log(chi) per individual, not one per (group, last sighting).
+        for (std::size_t i = 0; i < firstCapture_.size(); ++i) {
+            const auto f = static_cast<std::size_t>(firstCapture_[i]);
+            const auto l = static_cast<std::size_t>(lastSighting_[i]);
+            const auto g = static_cast<std::size_t>(group_[i]);
+            for (std::size_t t = f + 1; t <= l; ++t) {
+                lp += logPhi[t - 1];
+                lp += history_[i * numT + t] ? logP[g * (numT - 1) + t - 1]
+                                             : log1mP[g * (numT - 1) + t - 1];
+            }
+            lp += log(chi[g * numT + l]);
+        }
+        return lp;
+    }
+
+    // Only take logs where some individual was last seen at t; unused
+    // entries stay constant zero and drop out of the dot.
+    std::vector<T> logChi(chi.size(), T(0.0));
+    for (std::size_t i = 0; i < chi.size(); ++i)
+        if (chiCount_[i] != 0.0)
+            logChi[i] = log(chi[i]);
 
     // The whole per-individual loop collapses into four wide nodes.
     lp += dot_vec(std::span<const T>(logPhi),
@@ -168,79 +188,6 @@ AnimalSurvival::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-template <typename T>
-T
-AnimalSurvival::logDensityScalar(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& muPhi = p.scalar(kMuPhi);
-    const T& sigmaPhi = p.scalar(kSigmaPhi);
-    const T& muP = p.scalar(kMuP);
-    const T& sigmaEps = p.scalar(kSigmaEps);
-    const std::size_t numT = numOccasions_;
-
-    T lp = normal_lpdf(muPhi, 0.0, 1.5) + normal_lpdf(sigmaPhi, 0.0, 1.0)
-        + normal_lpdf(muP, 0.0, 1.5) + normal_lpdf(sigmaEps, 0.0, 1.0);
-
-    // Hierarchical logit-scale survival and recapture parameters.
-    for (std::size_t t = 0; t + 1 < numT; ++t) {
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kPhiRaw, t), muPhi, sigmaPhi);
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kPRaw, t), 0.0, 1.5);
-    }
-    for (std::size_t g = 0; g < numGroups_; ++g)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kEps, g), 0.0, sigmaEps);
-
-    // Interval survival probabilities (shared by all individuals).
-    std::vector<T> logPhi(numT - 1), log1mPhi(numT - 1);
-    for (std::size_t t = 0; t + 1 < numT; ++t) {
-        const T& raw = p.at(kPhiRaw, t);
-        logPhi[t] = -log1pExp(-raw);
-        log1mPhi[t] = -log1pExp(raw);
-    }
-
-    // Per-group recapture and the chi ("never seen again") recursion:
-    // chi[g][t] = P(not resighted after t | alive at t, group g).
-    std::vector<std::vector<T>> logP(numGroups_, std::vector<T>(numT - 1));
-    std::vector<std::vector<T>> log1mP(numGroups_,
-                                       std::vector<T>(numT - 1));
-    std::vector<std::vector<T>> chi(numGroups_, std::vector<T>(numT));
-    using std::exp;
-    using std::log;
-    using ad::exp;
-    using ad::log;
-    for (std::size_t g = 0; g < numGroups_; ++g) {
-        for (std::size_t t = 0; t + 1 < numT; ++t) {
-            // Recapture probability at occasion t+1 for group g.
-            const T eta = muP + p.at(kPRaw, t) + p.at(kEps, g);
-            logP[g][t] = -log1pExp(-eta);
-            log1mP[g][t] = -log1pExp(eta);
-        }
-        chi[g][numT - 1] = T(1.0);
-        for (std::size_t t = numT - 1; t-- > 0;) {
-            // chi_t = (1 - phi_t) + phi_t (1 - p_{t+1}) chi_{t+1}
-            const T survivedMissed =
-                exp(logPhi[t] + log1mP[g][t]) * chi[g][t + 1];
-            chi[g][t] = exp(log1mPhi[t]) + survivedMissed;
-        }
-    }
-
-    for (std::size_t i = 0; i < firstCapture_.size(); ++i) {
-        const auto f = static_cast<std::size_t>(firstCapture_[i]);
-        const auto l = static_cast<std::size_t>(lastSighting_[i]);
-        const auto g = static_cast<std::size_t>(group_[i]);
-        for (std::size_t t = f + 1; t <= l; ++t) {
-            lp += logPhi[t - 1];
-            lp += history_[i * numT + t] ? logP[g][t - 1]
-                                         : log1mP[g][t - 1];
-        }
-        lp += log(chi[g][l]);
-    }
-    return lp;
-}
-
 double
 AnimalSurvival::logProb(const ppl::ParamView<double>& p) const
 {
@@ -251,18 +198,6 @@ ad::Var
 AnimalSurvival::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
-}
-
-double
-AnimalSurvival::logProbScalar(const ppl::ParamView<double>& p) const
-{
-    return logDensityScalar(p);
-}
-
-ad::Var
-AnimalSurvival::logProbScalar(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensityScalar(p);
 }
 
 std::vector<double>

@@ -24,8 +24,6 @@ class AnimalSurvival : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
-    double logProbScalar(const ppl::ParamView<double>& p) const override;
-    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of tagged individuals. */
     std::size_t numIndividuals() const { return firstCapture_.size(); }
@@ -53,8 +51,6 @@ class AnimalSurvival : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numOccasions_;
     std::size_t numGroups_;

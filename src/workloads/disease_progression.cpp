@@ -93,43 +93,29 @@ DiseaseProgression::logDensity(const ppl::ParamView<T>& p) const
         + normal_lpdf(diagShift, 0.0, 2.0);
     lp += exponential_lpdf_vec(p.block(kWeights), 0.25);
 
+    if (p.perObservation()) {
+        // The reference tape: both likelihood terms read one score per
+        // visit, which neither GLM kernel can share with the other.
+        for (std::size_t i = 0; i < biomarker_.size(); ++i) {
+            const double* row = &basis_[i * numBasis_];
+            T score = 0.0;
+            for (std::size_t k = 0; k < numBasis_; ++k)
+                score += p.at(kWeights, k) * row[k];
+            // bayes-lint: allow(R007): reference tape; two terms share one score
+            lp += normal_lpdf(biomarker_[i], offset + score, sigma);
+            // bayes-lint: allow(R007): reference tape; two terms share one score
+            lp += bernoulli_logit_lpmf(diagnosis_[i],
+                                       diagScale * (score - diagShift));
+        }
+        return lp;
+    }
+
     const std::span<const double> basis(basis_);
     lp += normal_id_glm_lpdf(std::span<const double>(biomarker_), basis,
                              offset, p.block(kWeights), sigma);
     lp += bernoulli_logit_scaled_glm_lpmf(std::span<const int>(diagnosis_),
                                           basis, p.block(kWeights),
                                           diagScale, diagShift);
-    return lp;
-}
-
-template <typename T>
-T
-DiseaseProgression::logDensityScalar(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& offset = p.scalar(kOffset);
-    const T& sigma = p.scalar(kSigma);
-    const T& diagScale = p.scalar(kDiagScale);
-    const T& diagShift = p.scalar(kDiagShift);
-
-    T lp = normal_lpdf(offset, 0.0, 2.0) + normal_lpdf(sigma, 0.0, 1.0)
-        + normal_lpdf(diagScale, 0.0, 2.0)
-        + normal_lpdf(diagShift, 0.0, 2.0);
-    for (std::size_t k = 0; k < numBasis_; ++k)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += exponential_lpdf(p.at(kWeights, k), 0.25);
-
-    for (std::size_t i = 0; i < biomarker_.size(); ++i) {
-        const double* row = &basis_[i * numBasis_];
-        T score = 0.0;
-        for (std::size_t k = 0; k < numBasis_; ++k)
-            score += p.at(kWeights, k) * row[k];
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(biomarker_[i], offset + score, sigma);
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += bernoulli_logit_lpmf(diagnosis_[i],
-                                   diagScale * (score - diagShift));
-    }
     return lp;
 }
 
@@ -143,18 +129,6 @@ ad::Var
 DiseaseProgression::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
-}
-
-double
-DiseaseProgression::logProbScalar(const ppl::ParamView<double>& p) const
-{
-    return logDensityScalar(p);
-}
-
-ad::Var
-DiseaseProgression::logProbScalar(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensityScalar(p);
 }
 
 std::vector<double>

@@ -22,8 +22,6 @@ class DiseaseProgression : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
-    double logProbScalar(const ppl::ParamView<double>& p) const override;
-    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of biomarker observations. */
     std::size_t numObservations() const { return biomarker_.size(); }
@@ -46,8 +44,6 @@ class DiseaseProgression : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     /** I-spline basis value for basis k at standardized time t. */
     static double isplineBasis(std::size_t k, std::size_t nBasis, double t);

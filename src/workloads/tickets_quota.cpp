@@ -116,41 +116,6 @@ TicketsQuota::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-template <typename T>
-T
-TicketsQuota::logDensityScalar(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& muTheta = p.scalar(kMuTheta);
-    const T& sigmaTheta = p.scalar(kSigmaTheta);
-    const T& delta = p.scalar(kDelta);
-
-    T lp = normal_lpdf(muTheta, 0.0, 3.0)
-        + normal_lpdf(sigmaTheta, 0.0, 1.0)
-        + normal_lpdf(delta, 0.0, 1.0);
-    for (std::size_t k = 0; k < numCovariates_; ++k)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kBeta, k), 0.0, 0.5);
-    for (std::size_t o = 0; o < numOfficers_; ++o)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kTheta, o), muTheta, sigmaTheta);
-
-    T dataLp = 0.0;
-    for (std::size_t i = 0; i < activeRows_; ++i) {
-        T eta = p.at(kTheta, static_cast<std::size_t>(officer_[i]))
-            + delta * endOfMonth_[i];
-        const double* row = &covariates_[i * numCovariates_];
-        for (std::size_t k = 0; k < numCovariates_; ++k)
-            eta += p.at(kBeta, k) * row[k];
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        dataLp += poisson_log_lpmf(counts_[i], eta);
-    }
-    // Inverse-probability reweighting keeps the subsampled likelihood
-    // an unbiased surrogate for the full one.
-    lp += likelihoodWeight_ * dataLp;
-    return lp;
-}
-
 double
 TicketsQuota::logProb(const ppl::ParamView<double>& p) const
 {
@@ -161,18 +126,6 @@ ad::Var
 TicketsQuota::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
-}
-
-double
-TicketsQuota::logProbScalar(const ppl::ParamView<double>& p) const
-{
-    return logDensityScalar(p);
-}
-
-ad::Var
-TicketsQuota::logProbScalar(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensityScalar(p);
 }
 
 std::vector<double>

@@ -34,8 +34,6 @@ class TicketsQuota : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
-    double logProbScalar(const ppl::ParamView<double>& p) const override;
-    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of officers. */
     std::size_t numOfficers() const { return numOfficers_; }
@@ -61,8 +59,6 @@ class TicketsQuota : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numOfficers_;
     std::size_t numCovariates_;

@@ -54,8 +54,8 @@ TwelveCities::TwelveCities(double dataScale)
         }
     }
 
-    // Row-major design matrix for the fused GLM kernel: the same two
-    // covariates the scalar path reads column-wise.
+    // Row-major design matrix for the GLM kernel: the two covariates,
+    // one row per city-year.
     design_.reserve(deaths_.size() * 2);
     for (std::size_t i = 0; i < deaths_.size(); ++i) {
         design_.push_back(limitLowered_[i]);
@@ -103,35 +103,6 @@ TwelveCities::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-template <typename T>
-T
-TwelveCities::logDensityScalar(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& muAlpha = p.scalar(kMuAlpha);
-    const T& sigmaAlpha = p.scalar(kSigmaAlpha);
-    const T& betaLimit = p.scalar(kBetaLimit);
-    const T& betaTrend = p.scalar(kBetaTrend);
-
-    T lp = normal_lpdf(muAlpha, 0.0, 5.0)
-        + normal_lpdf(sigmaAlpha, 0.0, 2.0) // half-normal via LowerBound
-        + normal_lpdf(betaLimit, 0.0, 1.0)
-        + normal_lpdf(betaTrend, 0.0, 1.0);
-
-    for (std::size_t c = 0; c < numCities_; ++c)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(p.at(kAlpha, c), muAlpha, sigmaAlpha);
-
-    for (std::size_t i = 0; i < deaths_.size(); ++i) {
-        const T eta = p.at(kAlpha, static_cast<std::size_t>(city_[i]))
-            + betaLimit * limitLowered_[i] + betaTrend * yearCentered_[i]
-            + logExposure_[i];
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += poisson_log_lpmf(deaths_[i], eta);
-    }
-    return lp;
-}
-
 double
 TwelveCities::logProb(const ppl::ParamView<double>& p) const
 {
@@ -142,18 +113,6 @@ ad::Var
 TwelveCities::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
-}
-
-double
-TwelveCities::logProbScalar(const ppl::ParamView<double>& p) const
-{
-    return logDensityScalar(p);
-}
-
-ad::Var
-TwelveCities::logProbScalar(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensityScalar(p);
 }
 
 std::vector<double>

@@ -22,8 +22,6 @@ class TwelveCities : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
-    double logProbScalar(const ppl::ParamView<double>& p) const override;
-    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Observed pedestrian death counts (one per city-year row). */
     const std::vector<long>& deaths() const { return deaths_; }
@@ -49,8 +47,6 @@ class TwelveCities : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::size_t numCities_;
     std::vector<long> deaths_;

@@ -91,37 +91,6 @@ VotesForecast::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-template <typename T>
-T
-VotesForecast::logDensityScalar(const ppl::ParamView<T>& p) const
-{
-    using namespace bayes::math;
-    const T& mean = p.scalar(kMean);
-    const T& alpha = p.scalar(kAlpha);
-    const T& rho = p.scalar(kRho);
-    const T& sigma = p.scalar(kSigma);
-
-    T lp = normal_lpdf(mean, 0.0, 1.0)
-        + lognormal_lpdf(alpha, std::log(0.35), 0.4)
-        + lognormal_lpdf(rho, std::log(1.2), 0.35)
-        + lognormal_lpdf(sigma, std::log(0.1), 0.5);
-
-    // Non-centered GP: f = mean + L z with z ~ N(0, I).
-    const std::vector<T> z = p.vec(kZ);
-    for (const T& zi : z)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += std_normal_lpdf(zi);
-
-    const Matrix<T> k = gpCovSquaredExp(cycleYears_, alpha, rho, 1e-6);
-    const Matrix<T> l = cholesky(k);
-    const std::vector<T> f = matVec(l, z);
-
-    for (std::size_t i = 0; i < observed_.size(); ++i)
-        // bayes-lint: allow(R007): reference scalar path; fused twin above
-        lp += normal_lpdf(observed_[i], mean + f[i], sigma);
-    return lp;
-}
-
 double
 VotesForecast::logProb(const ppl::ParamView<double>& p) const
 {
@@ -132,18 +101,6 @@ ad::Var
 VotesForecast::logProb(const ppl::ParamView<ad::Var>& p) const
 {
     return logDensity(p);
-}
-
-double
-VotesForecast::logProbScalar(const ppl::ParamView<double>& p) const
-{
-    return logDensityScalar(p);
-}
-
-ad::Var
-VotesForecast::logProbScalar(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensityScalar(p);
 }
 
 std::vector<double>

@@ -24,8 +24,6 @@ class VotesForecast : public Workload
 
     double logProb(const ppl::ParamView<double>& p) const override;
     ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
-    double logProbScalar(const ppl::ParamView<double>& p) const override;
-    ad::Var logProbScalar(const ppl::ParamView<ad::Var>& p) const override;
 
     /** Number of GP grid points (election cycles). */
     std::size_t numCycles() const { return cycleYears_.size(); }
@@ -51,8 +49,6 @@ class VotesForecast : public Workload
   private:
     template <typename T>
     T logDensity(const ppl::ParamView<T>& p) const;
-    template <typename T>
-    T logDensityScalar(const ppl::ParamView<T>& p) const;
 
     std::vector<double> cycleYears_; ///< standardized cycle coordinates
     std::vector<double> observed_;   ///< observed vote share (logit)

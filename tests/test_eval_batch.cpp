@@ -2,9 +2,9 @@
  * @file
  * Batched evaluation surface tests: EvalBatch layout, lane-for-lane
  * equality between Evaluator::logProb{,Grad}Batch and the single-point
- * calls they loop over (all six fused workloads plus their
- * scalar-likelihood twins, ragged final batches included), and the
- * empty and all-rejected edge cases.
+ * calls they loop over (all six fused workloads, on the fused and on
+ * the per-observation reference tape, ragged final batches included),
+ * and the empty and all-rejected edge cases.
  */
 #include <gtest/gtest.h>
 
@@ -44,12 +44,12 @@ randomPoints(const ppl::Evaluator& eval, std::size_t k, std::uint64_t seed)
 void
 expectBatchMatchesSingles(const ppl::Model& model,
                           const std::vector<std::vector<double>>& pts,
-                          std::size_t width, bool scalarLikelihood)
+                          std::size_t width, bool perObservation)
 {
     ppl::Evaluator batched(model);
     ppl::Evaluator single(model);
-    batched.setScalarLikelihood(scalarLikelihood);
-    single.setScalarLikelihood(scalarLikelihood);
+    batched.tape().setPerObservation(perObservation);
+    single.tape().setPerObservation(perObservation);
 
     const std::size_t dim = single.dim();
     std::vector<double> refGrad, laneGrad;
@@ -107,7 +107,7 @@ TEST(EvalBatch, FusedWorkloadsMatchSinglesAcrossWidths)
         for (const std::size_t k : {1u, 2u, 4u, 8u}) {
             const auto pts = randomPoints(probe, k, 7000 + k);
             expectBatchMatchesSingles(*wl, pts, k,
-                                      /*scalarLikelihood=*/false);
+                                      /*perObservation=*/false);
         }
     }
 }
@@ -119,7 +119,7 @@ TEST(EvalBatch, ScalarTwinsMatchSingles)
         const auto wl = workloads::makeWorkload(name, 0.25);
         ppl::Evaluator probe(*wl);
         const auto pts = randomPoints(probe, 4, 99);
-        expectBatchMatchesSingles(*wl, pts, 4, /*scalarLikelihood=*/true);
+        expectBatchMatchesSingles(*wl, pts, 4, /*perObservation=*/true);
     }
 }
 
@@ -130,7 +130,7 @@ TEST(EvalBatch, RaggedFinalBatch)
     const auto wl = workloads::makeWorkload("ad", 0.25);
     ppl::Evaluator probe(*wl);
     const auto pts = randomPoints(probe, 33, 333);
-    expectBatchMatchesSingles(*wl, pts, 8, /*scalarLikelihood=*/false);
+    expectBatchMatchesSingles(*wl, pts, 8, /*perObservation=*/false);
 }
 
 TEST(EvalBatch, EmptyAndAllRejectedBatches)
@@ -170,11 +170,11 @@ TEST(EvalBatch, ReserveHintSurvivesScalarToggle)
 
     std::vector<double> g1, g2;
     const double fusedLp = eval.logProbGrad(pts[0], g1);
-    eval.setScalarLikelihood(true);
+    eval.tape().setPerObservation(true);
     const double scalarLp = eval.logProbGrad(pts[0], g2);
     const double tol = 1e-9 * std::max(1.0, std::fabs(fusedLp));
     EXPECT_NEAR(fusedLp, scalarLp, tol);
-    eval.setScalarLikelihood(false);
+    eval.tape().setPerObservation(false);
     EXPECT_NEAR(eval.logProbGrad(pts[0], g1), fusedLp, 1e-15);
 }
 

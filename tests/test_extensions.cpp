@@ -86,10 +86,10 @@ TEST(Subsampling, ShrinksWorkingSetAndModeledData)
     EXPECT_GT(full.modeledDataBytes(), half.modeledDataBytes());
     EXPECT_GT(half.modeledDataBytes(), quarter.modeledDataBytes());
 
-    // The scalar-path tape shrinks proportionally with the subsample.
+    // The per-observation tape shrinks proportionally with the subsample.
     ppl::Evaluator evalFull(full), evalHalf(half);
-    evalFull.setScalarLikelihood(true);
-    evalHalf.setScalarLikelihood(true);
+    evalFull.tape().setPerObservation(true);
+    evalHalf.tape().setPerObservation(true);
     Rng rng(5);
     const auto qf = samplers::findInitialPoint(evalFull, rng);
     std::vector<double> grad;

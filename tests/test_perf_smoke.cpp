@@ -1,8 +1,8 @@
 /**
  * @file
  * Performance smoke tests. On the `ad` attribution workload the fused
- * tape must stay at or below 25% of the scalar reference tape's node
- * count while producing the same log density and gradient, a
+ * tape must stay at or below 25% of the per-observation reference
+ * tape's node count while producing the same log density and gradient, a
  * steady-state gradient on `ad` and `tickets` must make no more heap
  * allocations than its ceiling, and one runtime R-hat check must stay
  * under the paper's §VI-A overhead. Runs as a plain ctest under the
@@ -88,7 +88,7 @@ TEST(PerfSmoke, FusedTapeIsAQuarterOfScalarOnAdAttribution)
     const auto wl = workloads::makeWorkload("ad", 1.0);
     ppl::Evaluator fused(*wl);
     ppl::Evaluator scalar(*wl);
-    scalar.setScalarLikelihood(true);
+    scalar.tape().setPerObservation(true);
 
     Rng rng(2019);
     std::vector<double> q(fused.dim());

@@ -35,5 +35,7 @@ def rule_r007(files, findings, _ctx):
                     sf.relpath, lineno, "R007",
                     f"scalar {name} in a loop builds one tape node per "
                     "observation; use a fused kernel from "
-                    "src/math/vec_kernels.hpp (or waive a reference "
-                    "scalar path with justification)"))
+                    "src/math/vec_kernels.hpp, which records the "
+                    "per-observation loop itself on the reference tape "
+                    "(or waive a loop no kernel can express, with "
+                    "justification)"))
