@@ -133,7 +133,7 @@ poisson_lpmf(long y, const TLambda& lambda)
 {
     using T = promote_t<TLambda>;
     return static_cast<double>(y) * log(T(lambda)) - lambda
-        - lgammaSafe(static_cast<double>(y) + 1.0);
+        - logFactorial(y);
 }
 
 /** Poisson with log-rate parameterization: lambda = exp(eta). */
@@ -142,8 +142,7 @@ promote_t<TEta>
 poisson_log_lpmf(long y, const TEta& eta)
 {
     using T = promote_t<TEta>;
-    return static_cast<double>(y) * eta - exp(T(eta))
-        - lgammaSafe(static_cast<double>(y) + 1.0);
+    return static_cast<double>(y) * eta - exp(T(eta)) - logFactorial(y);
 }
 
 /** Bernoulli(p) log mass. @pre 0 < p < 1 */
@@ -176,7 +175,7 @@ binomial_lpmf(long y, long n, const TP& p)
     using T = promote_t<TP>;
     const double ny = static_cast<double>(n);
     const double ky = static_cast<double>(y);
-    return lchoose(ny, ky) + ky * log(T(p))
+    return lchoose(n, y) + ky * log(T(p))
         + (ny - ky) * log1p(-T(p));
 }
 
@@ -188,7 +187,7 @@ binomial_logit_lpmf(long y, long n, const TEta& eta)
     using T = promote_t<TEta>;
     const double ny = static_cast<double>(n);
     const double ky = static_cast<double>(y);
-    return lchoose(ny, ky) - ky * log1pExp(-T(eta))
+    return lchoose(n, y) - ky * log1pExp(-T(eta))
         - (ny - ky) * log1pExp(T(eta));
 }
 
@@ -202,7 +201,7 @@ neg_binomial_2_lpmf(long y, const TMu& mu, const TPhi& phi)
 {
     using T = promote_t<TMu, TPhi>;
     const double ky = static_cast<double>(y);
-    return lgamma(ky + T(phi)) - lgammaSafe(ky + 1.0) - lgamma(T(phi))
+    return lgamma(ky + T(phi)) - logFactorial(y) - lgamma(T(phi))
         + phi * (log(T(phi)) - log(T(mu) + T(phi)))
         + ky * (log(T(mu)) - log(T(mu) + T(phi)));
 }

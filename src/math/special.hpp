@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -117,6 +118,31 @@ lgammaSafe(double x)
 #endif
 }
 
+/** Counts below this read logFactorial's table (racial's reach 1,349). */
+inline constexpr long kLogFactorialTableSize = 2048;
+
+/**
+ * log n! for a count n, bit for bit lgammaSafe(n + 1.0). A count
+ * likelihood's normalizing constant depends on the data alone, so it
+ * reads a table built once with that very call instead of evaluating
+ * lgamma per row per evaluation. n outside [0, kLogFactorialTableSize),
+ * negative n included (a pole, +inf), falls back to lgammaSafe.
+ */
+inline double
+logFactorial(long n)
+{
+    static const auto table = [] {
+        std::array<double, kLogFactorialTableSize> t{};
+        for (long i = 0; i < kLogFactorialTableSize; ++i)
+            t[static_cast<std::size_t>(i)] =
+                lgammaSafe(static_cast<double>(i) + 1.0);
+        return t;
+    }();
+    if (n >= 0 && n < kLogFactorialTableSize)
+        return table[static_cast<std::size_t>(n)];
+    return lgammaSafe(static_cast<double>(n) + 1.0);
+}
+
 /** log Beta(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b). */
 inline double
 lbeta(double a, double b)
@@ -141,6 +167,19 @@ lchoose(double n, double k)
         return -INFINITY;
     return lgammaSafe(n + 1.0) - lgammaSafe(k + 1.0)
         - lgammaSafe(n - k + 1.0);
+}
+
+/**
+ * lchoose for integer counts, bit for bit the double form: the same
+ * three log-factorials in the same order, read from logFactorial's
+ * table. -inf outside the support (k < 0 or k > n).
+ */
+inline double
+lchoose(long n, long k)
+{
+    if (k < 0 || k > n)
+        return -INFINITY;
+    return logFactorial(n) - logFactorial(k) - logFactorial(n - k);
 }
 
 } // namespace bayes::math

@@ -20,8 +20,16 @@
  *   `lp += kernel(...)` adds exactly the nodes a loop of `lp += term`
  *   adds. This is the reference tape the paper characterizes
  *   (archsim::TapeKind::Reference). The fused-only kernels record a
- *   wide node in either mode; each one's comment names the density
- *   that branches to its own loop before calling it.
+ *   wide node in either mode; each one's comment names the densities
+ *   that branch to their own loop before calling them (disease,
+ *   survival, memory, racial).
+ *
+ * The GLM kernels take a row-major n×K design matrix and, optionally,
+ * a varying intercept: a per-row group index into a span of intercepts
+ * (`group`, `alphas`; an empty group gives every row alphas[0]), so a
+ * hierarchical model's per-group effect is one call, not a gather loop.
+ * Data-only constants (log y!, log C(n, y)) read math::logFactorial's
+ * table.
  *
  * Every kernel is templated so each parameter can independently be a
  * plain double (fixed hyperparameter) or an ad::Var; the all-double
@@ -160,6 +168,29 @@ values(std::span<const T> xs)
     for (std::size_t i = 0; i < xs.size(); ++i)
         out[i] = valueOf(xs[i]);
     return out;
+}
+
+/** Row @p i's intercept index: group[i], or 0 when @p group is empty. */
+inline std::size_t
+groupOf(std::span<const int> group, std::size_t i)
+{
+    return group.empty() ? 0 : static_cast<std::size_t>(group[i]);
+}
+
+/**
+ * Adds a GLM's edges to its wide node: one per intercept, then one per
+ * coefficient, read from a partials buffer laid out ∂α then ∂β.
+ */
+template <typename TAlpha, typename TBeta>
+void
+glmEdges(WideTerm& t, std::span<const TAlpha> alphas,
+         std::span<const TBeta> betas, const std::vector<double>& partials)
+{
+    t.reserve(alphas.size() + betas.size() + 1);
+    for (std::size_t g = 0; g < alphas.size(); ++g)
+        t.edge(alphas[g], partials[g]);
+    for (std::size_t k = 0; k < betas.size(); ++k)
+        t.edge(betas[k], partials[alphas.size() + k]);
 }
 
 } // namespace detail
@@ -370,62 +401,77 @@ exponential_lpdf_vec(std::span<const double> ys, const TRate& rate)
 // ---------------------------------------------------------------------
 
 /**
- * Bernoulli-logit GLM: sum of bernoulli_logit_lpmf(y_i, alpha + x_i·β)
- * over rows of the row-major n×K design matrix @p x. Residuals
- * r_i = y_i - invLogit(eta_i) give ∂α = Σ r_i and ∂β_k = Σ r_i x_ik.
- * Per observation, each row records its linear predictor and one
- * bernoulli_logit_lpmf term.
+ * Bernoulli-logit GLM with optional varying intercepts: sum of
+ * bernoulli_logit_lpmf(y_i, alpha_{g_i} + x_i·β) over rows of the
+ * row-major n×K design matrix @p x.
+ * @param group  per-row intercept index; empty means alphas[0] for all
+ * Residuals r_i = y_i - invLogit(eta_i) give ∂α_g = Σ_{i: g_i=g} r_i
+ * and ∂β_k = Σ r_i x_ik. Per observation, each row records its linear
+ * predictor and one bernoulli_logit_lpmf term. memory's density calls
+ * the grouped form on its fused path only, branching to its own loop
+ * on the reference tape.
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
-bernoulli_logit_glm_lpmf(std::span<const int> ys,
-                         std::span<const double> x, const TAlpha& alpha,
+bernoulli_logit_glm_lpmf(std::span<const int> ys, std::span<const double> x,
+                         std::span<const int> group,
+                         std::span<const TAlpha> alphas,
                          std::span<const TBeta> betas)
 {
     using R = promote_t<TAlpha, TBeta>;
     const std::size_t n = ys.size();
     const std::size_t numK = betas.size();
     BAYES_ASSERT(x.size() == n * numK);
+    BAYES_ASSERT(group.empty() || group.size() >= n);
+    BAYES_ASSERT(!alphas.empty());
     if constexpr (std::is_same_v<R, ad::Var>) {
-        if (detail::perObservation(alpha, betas))
+        if (detail::perObservation(alphas, betas))
             return detail::perObservationSum(n, [&](std::size_t i) {
                 const double* row = x.data() + i * numK;
-                R eta = alpha;
+                R eta = alphas[detail::groupOf(group, i)];
                 for (std::size_t k = 0; k < numK; ++k)
                     eta += betas[k] * row[k];
                 return bernoulli_logit_lpmf(ys[i], eta);
             });
     }
-    const double alphaV = valueOf(alpha);
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
-    double dAlpha = 0.0;
-    std::vector<double> dBeta;
+    std::vector<double> partials;
     if constexpr (std::is_same_v<R, ad::Var>)
-        dBeta.assign(numK, 0.0);
+        partials.assign(alphas.size() + numK, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g = detail::groupOf(group, i);
         const double* row = x.data() + i * numK;
-        double eta = alphaV;
+        double eta = valueOf(alphas[g]);
         for (std::size_t k = 0; k < numK; ++k)
             eta += betaV[k] * row[k];
         value += ys[i] ? -log1pExp(-eta) : -log1pExp(eta);
         if constexpr (std::is_same_v<R, ad::Var>) {
             const double r = static_cast<double>(ys[i]) - invLogit(eta);
-            dAlpha += r;
+            partials[g] += r;
+            double* dBeta = partials.data() + alphas.size();
             for (std::size_t k = 0; k < numK; ++k)
                 dBeta[k] += r * row[k];
         }
     }
     if constexpr (std::is_same_v<R, ad::Var>) {
         detail::WideTerm t;
-        t.reserve(numK + 1);
-        t.edge(alpha, dAlpha);
-        for (std::size_t k = 0; k < numK; ++k)
-            t.edge(betas[k], dBeta[k]);
+        detail::glmEdges(t, alphas, betas, partials);
         return t.emit(value);
     } else {
         return value;
     }
+}
+
+/** bernoulli_logit_glm_lpmf with one intercept @p alpha for every row. */
+template <typename TAlpha, typename TBeta>
+promote_t<TAlpha, TBeta>
+bernoulli_logit_glm_lpmf(std::span<const int> ys, std::span<const double> x,
+                         const TAlpha& alpha, std::span<const TBeta> betas)
+{
+    return bernoulli_logit_glm_lpmf(ys, x, std::span<const int>(),
+                                    std::span<const TAlpha>(&alpha, 1),
+                                    betas);
 }
 
 /**
@@ -457,9 +503,7 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
         if (detail::perObservation(alphas, betas))
             return detail::perObservationSum(n, [&](std::size_t i) {
                 const double* row = x.data() + i * numK;
-                R eta = alphas[group.empty()
-                                   ? 0
-                                   : static_cast<std::size_t>(group[i])];
+                R eta = alphas[detail::groupOf(group, i)];
                 for (std::size_t k = 0; k < numK; ++k)
                     eta += betas[k] * row[k];
                 if (!offset.empty())
@@ -467,40 +511,33 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
                 return poisson_log_lpmf(ys[i], eta);
             });
     }
-    const std::vector<double> alphaV = detail::values(alphas);
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
-    std::vector<double> dAlpha, dBeta;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        dAlpha.assign(alphas.size(), 0.0);
-        dBeta.assign(numK, 0.0);
-    }
+    std::vector<double> partials;
+    if constexpr (std::is_same_v<R, ad::Var>)
+        partials.assign(alphas.size() + numK, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g =
-            group.empty() ? 0 : static_cast<std::size_t>(group[i]);
+        const std::size_t g = detail::groupOf(group, i);
         const double* row = x.data() + i * numK;
-        double eta = alphaV[g];
+        double eta = valueOf(alphas[g]);
         for (std::size_t k = 0; k < numK; ++k)
             eta += betaV[k] * row[k];
         if (!offset.empty())
             eta += offset[i];
         const double expEta = std::exp(eta);
         const double ky = static_cast<double>(ys[i]);
-        value += ky * eta - expEta - lgammaSafe(ky + 1.0);
+        value += ky * eta - expEta - logFactorial(ys[i]);
         if constexpr (std::is_same_v<R, ad::Var>) {
             const double r = ky - expEta;
-            dAlpha[g] += r;
+            partials[g] += r;
+            double* dBeta = partials.data() + alphas.size();
             for (std::size_t k = 0; k < numK; ++k)
                 dBeta[k] += r * row[k];
         }
     }
     if constexpr (std::is_same_v<R, ad::Var>) {
         detail::WideTerm t;
-        t.reserve(alphas.size() + numK);
-        for (std::size_t g = 0; g < alphas.size(); ++g)
-            t.edge(alphas[g], dAlpha[g]);
-        for (std::size_t k = 0; k < numK; ++k)
-            t.edge(betas[k], dBeta[k]);
+        detail::glmEdges(t, alphas, betas, partials);
         return t.emit(value);
     } else {
         return value;
@@ -508,41 +545,48 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
 }
 
 /**
- * Normal identity-link GLM: sum of normal_lpdf(y_i, alpha + x_i·β,
- * sigma). With z_i = (y_i - mu_i)/sigma: ∂α = Σ z_i/σ, ∂β_k = Σ z_i
- * x_ik/σ, ∂σ = Σ (z_i² - 1)/σ. Fused in either mode: disease's density
- * branches to its own per-observation loop before calling it, since its
- * two likelihood terms share one score per visit.
+ * Normal identity-link GLM with optional varying intercepts: sum of
+ * normal_lpdf(y_i, alpha_{g_i} + x_i·β, sigma).
+ * @param group  per-row intercept index; empty means alphas[0] for all
+ * With z_i = (y_i - mu_i)/sigma: ∂α_g = Σ_{i: g_i=g} z_i/σ, ∂β_k = Σ z_i
+ * x_ik/σ, ∂σ = Σ (z_i² - 1)/σ. Fused in either mode: disease's and
+ * memory's densities branch to their own per-observation loops before
+ * calling it, since each of their loops feeds two likelihood terms per
+ * row (one score per visit, one subject's effects per trial).
  */
 template <typename TAlpha, typename TBeta, typename TSigma>
 promote_t<TAlpha, TBeta, TSigma>
 normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
-                   const TAlpha& alpha, std::span<const TBeta> betas,
-                   const TSigma& sigma)
+                   std::span<const int> group,
+                   std::span<const TAlpha> alphas,
+                   std::span<const TBeta> betas, const TSigma& sigma)
 {
     using R = promote_t<TAlpha, TBeta, TSigma>;
     const std::size_t n = ys.size();
     const std::size_t numK = betas.size();
     BAYES_ASSERT(x.size() == n * numK);
-    const double alphaV = valueOf(alpha);
+    BAYES_ASSERT(group.empty() || group.size() >= n);
+    BAYES_ASSERT(!alphas.empty());
     const double inv = 1.0 / valueOf(sigma);
     const double logSigma = std::log(valueOf(sigma));
     const std::vector<double> betaV = detail::values(betas);
     double value = 0.0;
-    double dAlpha = 0.0, dSigma = 0.0;
-    std::vector<double> dBeta;
+    double dSigma = 0.0;
+    std::vector<double> partials;
     if constexpr (std::is_same_v<R, ad::Var>)
-        dBeta.assign(numK, 0.0);
+        partials.assign(alphas.size() + numK, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g = detail::groupOf(group, i);
         const double* row = x.data() + i * numK;
-        double mu = alphaV;
+        double mu = valueOf(alphas[g]);
         for (std::size_t k = 0; k < numK; ++k)
             mu += betaV[k] * row[k];
         const double z = (ys[i] - mu) * inv;
         value += -0.5 * z * z - logSigma - kLogSqrtTwoPi;
         if constexpr (std::is_same_v<R, ad::Var>) {
             const double rs = z * inv;
-            dAlpha += rs;
+            partials[g] += rs;
+            double* dBeta = partials.data() + alphas.size();
             for (std::size_t k = 0; k < numK; ++k)
                 dBeta[k] += rs * row[k];
             dSigma += (z * z - 1.0) * inv;
@@ -550,11 +594,77 @@ normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
     }
     if constexpr (std::is_same_v<R, ad::Var>) {
         detail::WideTerm t;
-        t.reserve(numK + 2);
-        t.edge(alpha, dAlpha);
-        for (std::size_t k = 0; k < numK; ++k)
-            t.edge(betas[k], dBeta[k]);
+        detail::glmEdges(t, alphas, betas, partials);
         t.edge(sigma, dSigma);
+        return t.emit(value);
+    } else {
+        return value;
+    }
+}
+
+/** normal_id_glm_lpdf with one intercept @p alpha for every row. */
+template <typename TAlpha, typename TBeta, typename TSigma>
+promote_t<TAlpha, TBeta, TSigma>
+normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
+                   const TAlpha& alpha, std::span<const TBeta> betas,
+                   const TSigma& sigma)
+{
+    return normal_id_glm_lpdf(ys, x, std::span<const int>(),
+                              std::span<const TAlpha>(&alpha, 1), betas,
+                              sigma);
+}
+
+/**
+ * Binomial-logit GLM with optional varying intercepts: sum of
+ * binomial_logit_lpmf(y_i, n_i, alpha_{g_i} + x_i·β). Each row's
+ * constant lchoose(n_i, y_i) reads logFactorial's table.
+ * @param group  per-row intercept index; empty means alphas[0] for all
+ * Residuals r_i = y_i - n_i·invLogit(eta_i) give ∂α_g = Σ_{i: g_i=g}
+ * r_i and ∂β_k = Σ r_i x_ik. Fused in either mode: racial's density
+ * branches to its own per-observation loop before calling it, since
+ * that loop interleaves the search and hit terms cell by cell.
+ */
+template <typename TAlpha, typename TBeta>
+promote_t<TAlpha, TBeta>
+binomial_logit_glm_lpmf(std::span<const long> ys, std::span<const long> ns,
+                        std::span<const double> x,
+                        std::span<const int> group,
+                        std::span<const TAlpha> alphas,
+                        std::span<const TBeta> betas)
+{
+    using R = promote_t<TAlpha, TBeta>;
+    const std::size_t n = ys.size();
+    const std::size_t numK = betas.size();
+    BAYES_ASSERT(ns.size() == n);
+    BAYES_ASSERT(x.size() == n * numK);
+    BAYES_ASSERT(group.empty() || group.size() >= n);
+    BAYES_ASSERT(!alphas.empty());
+    const std::vector<double> betaV = detail::values(betas);
+    double value = 0.0;
+    std::vector<double> partials;
+    if constexpr (std::is_same_v<R, ad::Var>)
+        partials.assign(alphas.size() + numK, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g = detail::groupOf(group, i);
+        const double* row = x.data() + i * numK;
+        double eta = valueOf(alphas[g]);
+        for (std::size_t k = 0; k < numK; ++k)
+            eta += betaV[k] * row[k];
+        const double ky = static_cast<double>(ys[i]);
+        const double ny = static_cast<double>(ns[i]);
+        value += lchoose(ns[i], ys[i]) - ky * log1pExp(-eta)
+            - (ny - ky) * log1pExp(eta);
+        if constexpr (std::is_same_v<R, ad::Var>) {
+            const double r = ky - ny * invLogit(eta);
+            partials[g] += r;
+            double* dBeta = partials.data() + alphas.size();
+            for (std::size_t k = 0; k < numK; ++k)
+                dBeta[k] += r * row[k];
+        }
+    }
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        detail::WideTerm t;
+        detail::glmEdges(t, alphas, betas, partials);
         return t.emit(value);
     } else {
         return value;

@@ -1,8 +1,11 @@
 #include "workloads/memory_retrieval.hpp"
 
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "math/distributions.hpp"
+#include "math/vec_kernels.hpp"
 
 namespace bayes::workloads {
 
@@ -49,6 +52,16 @@ MemoryRetrieval::MemoryRetrieval(double dataScale)
                         + accuracy_.size() * sizeof(int)
                         + (load_.size() + rt_.size()) * sizeof(double));
 
+    // The fused path's data: the logit GLM's design column is -load,
+    // the normal GLM's rows are {load, acc} on log rt.
+    for (std::size_t i = 0; i < rt_.size(); ++i) {
+        negLoad_.push_back(-load_[i]);
+        latencyDesign_.push_back(load_[i]);
+        latencyDesign_.push_back(static_cast<double>(accuracy_[i]));
+        logRt_.push_back(std::log(rt_[i]));
+        sumLogRt_ += logRt_.back();
+    }
+
     setLayout({
         {"alpha", 1, ppl::TransformKind::Identity, 0, 0},
         {"beta_load", 1, ppl::TransformKind::Identity, 0, 0},
@@ -86,26 +99,52 @@ MemoryRetrieval::logDensity(const ppl::ParamView<T>& p) const
     // Non-centered random effects: u = sigma_u * u_raw, v = sigma_v *
     // v_raw, with standard-normal raws — the parameterization the Stan
     // originals use to avoid funnel geometry.
-    std::vector<T> u(numSubjects_), v(numSubjects_);
-    for (std::size_t s = 0; s < numSubjects_; ++s) {
-        // bayes-lint: allow(R007): loop also builds u/v; fusion is future work
-        lp += std_normal_lpdf(p.at(kU, s));
-        // bayes-lint: allow(R007): loop also builds u/v; fusion is future work
-        lp += std_normal_lpdf(p.at(kV, s));
-        u[s] = sigmaU * p.at(kU, s);
-        v[s] = sigmaV * p.at(kV, s);
+    if (p.perObservation()) {
+        // The reference tape: the Stan original's loops.
+        std::vector<T> u(numSubjects_), v(numSubjects_);
+        for (std::size_t s = 0; s < numSubjects_; ++s) {
+            // bayes-lint: allow(R007): reference tape; loop also builds u/v
+            lp += std_normal_lpdf(p.at(kU, s));
+            // bayes-lint: allow(R007): reference tape; loop also builds u/v
+            lp += std_normal_lpdf(p.at(kV, s));
+            u[s] = sigmaU * p.at(kU, s);
+            v[s] = sigmaV * p.at(kV, s);
+        }
+
+        for (std::size_t i = 0; i < accuracy_.size(); ++i) {
+            const auto s = static_cast<std::size_t>(subject_[i]);
+            const T etaAcc = alpha + u[s] - betaLoad * load_[i];
+            // bayes-lint: allow(R007): reference tape; one term per trial
+            lp += bernoulli_logit_lpmf(accuracy_[i], etaAcc);
+            const T muLat = muRt + v[s] + gammaLoad * load_[i]
+                + deltaAcc * static_cast<double>(accuracy_[i]);
+            // bayes-lint: allow(R007): reference tape; one term per trial
+            lp += lognormal_lpdf(rt_[i], muLat, sigmaRt);
+        }
+        return lp;
     }
 
-    for (std::size_t i = 0; i < accuracy_.size(); ++i) {
-        const auto s = static_cast<std::size_t>(subject_[i]);
-        const T etaAcc = alpha + u[s] - betaLoad * load_[i];
-        // bayes-lint: allow(R007): random-effect gather per row; fusion is future work
-        lp += bernoulli_logit_lpmf(accuracy_[i], etaAcc);
-        const T muLat = muRt + v[s] + gammaLoad * load_[i]
-            + deltaAcc * static_cast<double>(accuracy_[i]);
-        // bayes-lint: allow(R007): random-effect gather per row; fusion is future work
-        lp += lognormal_lpdf(rt_[i], muLat, sigmaRt);
+    lp += std_normal_lpdf_vec(p.block(kU));
+    lp += std_normal_lpdf_vec(p.block(kV));
+    // Each subject's intercepts in the two GLMs.
+    std::vector<T> accIntercept(numSubjects_), rtIntercept(numSubjects_);
+    for (std::size_t s = 0; s < numSubjects_; ++s) {
+        accIntercept[s] = alpha + sigmaU * p.at(kU, s);
+        rtIntercept[s] = muRt + sigmaV * p.at(kV, s);
     }
+    const std::span<const int> subject(subject_);
+    lp += bernoulli_logit_glm_lpmf(std::span<const int>(accuracy_),
+                                   std::span<const double>(negLoad_),
+                                   subject, std::span<const T>(accIntercept),
+                                   std::span<const T>(&betaLoad, 1));
+    // lognormal_lpdf(rt, mu, sigma) = normal_lpdf(log rt, mu, sigma)
+    // - log rt.
+    const std::array<T, 2> latencyCoef{gammaLoad, deltaAcc};
+    lp += normal_id_glm_lpdf(std::span<const double>(logRt_),
+                             std::span<const double>(latencyDesign_),
+                             subject, std::span<const T>(rtIntercept),
+                             std::span<const T>(latencyCoef), sigmaRt);
+    lp -= sumLogRt_;
     return lp;
 }
 

@@ -53,6 +53,11 @@ class MemoryRetrieval : public Workload
     std::vector<double> load_;
     std::vector<int> accuracy_;
     std::vector<double> rt_;
+    // The fused path's copies of the trials, built once.
+    std::vector<double> negLoad_;       ///< the logit GLM's design column
+    std::vector<double> latencyDesign_; ///< row-major [trial]{load, acc}
+    std::vector<double> logRt_;
+    double sumLogRt_ = 0.0;
 };
 
 } // namespace bayes::workloads

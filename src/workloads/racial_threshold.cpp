@@ -1,8 +1,10 @@
 #include "workloads/racial_threshold.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "math/distributions.hpp"
+#include "math/vec_kernels.hpp"
 
 namespace bayes::workloads {
 
@@ -37,6 +39,18 @@ RacialThreshold::RacialThreshold(double dataScale)
             stops_.push_back(stops);
             searches_.push_back(searched);
             hits_.push_back(hit);
+            // The fused path's rows: department group, race one-hot.
+            dept_.push_back(static_cast<int>(d));
+            for (std::size_t k = 0; k < numRaces_; ++k)
+                raceOneHot_.push_back(k == r ? 1.0 : 0.0);
+            if (searched > 0) {
+                hitRows_.hits.push_back(hit);
+                hitRows_.searches.push_back(searched);
+                hitRows_.dept.push_back(static_cast<int>(d));
+                hitRows_.raceOneHot.insert(hitRows_.raceOneHot.end(),
+                                           raceOneHot_.end() - numRaces_,
+                                           raceOneHot_.end());
+            }
         }
     }
 
@@ -70,38 +84,71 @@ RacialThreshold::logDensity(const ppl::ParamView<T>& p) const
     // with a soft sum-to-zero constraint: the race-level means and the
     // department effects are otherwise only jointly identified, which
     // stalls mixing along the translation ridge.
+    const double softScale =
+        0.01 * std::sqrt(static_cast<double>(numDepartments_));
+    if (p.perObservation()) {
+        // The reference tape: the Stan original's loops, the search and
+        // hit terms interleaved cell by cell.
+        std::vector<T> deptSearch(numDepartments_), deptHit(numDepartments_);
+        T searchSum = 0.0, hitSum = 0.0;
+        for (std::size_t d = 0; d < numDepartments_; ++d) {
+            // bayes-lint: allow(R007): reference tape; also builds the effects
+            lp += std_normal_lpdf(p.at(kDeptSearch, d));
+            // bayes-lint: allow(R007): reference tape; also builds the effects
+            lp += std_normal_lpdf(p.at(kDeptHit, d));
+            deptSearch[d] = sigmaDept * p.at(kDeptSearch, d);
+            deptHit[d] = sigmaDept * p.at(kDeptHit, d);
+            searchSum += p.at(kDeptSearch, d);
+            hitSum += p.at(kDeptHit, d);
+        }
+        lp += normal_lpdf(searchSum, 0.0, softScale);
+        lp += normal_lpdf(hitSum, 0.0, softScale);
+
+        for (std::size_t d = 0; d < numDepartments_; ++d) {
+            for (std::size_t r = 0; r < numRaces_; ++r) {
+                const std::size_t cell = d * numRaces_ + r;
+                const T etaSearch = p.at(kMuSearch, r) + deptSearch[d];
+                // bayes-lint: allow(R007): reference tape; one term per cell
+                lp += binomial_logit_lpmf(searches_[cell], stops_[cell],
+                                          etaSearch);
+                if (searches_[cell] > 0) {
+                    const T etaHit = p.at(kMuHit, r) + deptHit[d];
+                    // bayes-lint: allow(R007): reference tape; one term per cell
+                    lp += binomial_logit_lpmf(hits_[cell], searches_[cell],
+                                              etaHit);
+                }
+            }
+        }
+        return lp;
+    }
+
+    lp += std_normal_lpdf_vec(p.block(kDeptSearch));
+    lp += std_normal_lpdf_vec(p.block(kDeptHit));
     std::vector<T> deptSearch(numDepartments_), deptHit(numDepartments_);
     T searchSum = 0.0, hitSum = 0.0;
     for (std::size_t d = 0; d < numDepartments_; ++d) {
-        // bayes-lint: allow(R007): loop also builds effects and sums
-        lp += std_normal_lpdf(p.at(kDeptSearch, d));
-        // bayes-lint: allow(R007): loop also builds effects and sums
-        lp += std_normal_lpdf(p.at(kDeptHit, d));
         deptSearch[d] = sigmaDept * p.at(kDeptSearch, d);
         deptHit[d] = sigmaDept * p.at(kDeptHit, d);
         searchSum += p.at(kDeptSearch, d);
         hitSum += p.at(kDeptHit, d);
     }
-    const double softScale =
-        0.01 * std::sqrt(static_cast<double>(numDepartments_));
     lp += normal_lpdf(searchSum, 0.0, softScale);
     lp += normal_lpdf(hitSum, 0.0, softScale);
 
-    for (std::size_t d = 0; d < numDepartments_; ++d) {
-        for (std::size_t r = 0; r < numRaces_; ++r) {
-            const std::size_t cell = d * numRaces_ + r;
-            const T etaSearch = p.at(kMuSearch, r) + deptSearch[d];
-            // bayes-lint: allow(R007): binomial GLM kernel is future work
-            lp += binomial_logit_lpmf(searches_[cell], stops_[cell],
-                                      etaSearch);
-            if (searches_[cell] > 0) {
-                const T etaHit = p.at(kMuHit, r) + deptHit[d];
-                // bayes-lint: allow(R007): binomial GLM kernel is future work
-                lp += binomial_logit_lpmf(hits_[cell], searches_[cell],
-                                          etaHit);
-            }
-        }
-    }
+    // Searches of stops in every cell, hits of searches in the cells
+    // with a search; the department effect is each row's intercept.
+    lp += binomial_logit_glm_lpmf(std::span<const long>(searches_),
+                                  std::span<const long>(stops_),
+                                  std::span<const double>(raceOneHot_),
+                                  std::span<const int>(dept_),
+                                  std::span<const T>(deptSearch),
+                                  p.block(kMuSearch));
+    lp += binomial_logit_glm_lpmf(std::span<const long>(hitRows_.hits),
+                                  std::span<const long>(hitRows_.searches),
+                                  std::span<const double>(hitRows_.raceOneHot),
+                                  std::span<const int>(hitRows_.dept),
+                                  std::span<const T>(deptHit),
+                                  p.block(kMuHit));
     return lp;
 }
 

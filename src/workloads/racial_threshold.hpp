@@ -49,6 +49,17 @@ class RacialThreshold : public Workload
     std::vector<long> stops_;    ///< [dept * races + race]
     std::vector<long> searches_;
     std::vector<long> hits_;
+    // The fused path's rows, built once.
+    std::vector<int> dept_;          ///< per cell
+    std::vector<double> raceOneHot_; ///< row-major [cell][race]
+    /** The cells with a search, the rows of the hit GLM. */
+    struct HitRows
+    {
+        std::vector<long> hits;
+        std::vector<long> searches;
+        std::vector<int> dept;
+        std::vector<double> raceOneHot; ///< row-major [row][race]
+    } hitRows_;
 };
 
 } // namespace bayes::workloads

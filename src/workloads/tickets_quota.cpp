@@ -36,16 +36,19 @@ TicketsQuota::TicketsQuota(double dataScale, double subsampleFraction)
     for (std::size_t o = 0; o < numOfficers_; ++o) {
         for (std::size_t m = 0; m < months; ++m) {
             for (int half = 0; half < 2; ++half) {
+                // One design row: the end-of-month indicator first,
+                // then the covariates, matching the coefficient order
+                // {delta, beta...} the density assembles.
                 const double eom = half == 1 ? 1.0 : 0.0;
+                design_.push_back(eom);
                 double eta = thetaTrue[o] + kTrueQuotaEffect * eom;
                 for (std::size_t k = 0; k < numCovariates_; ++k) {
                     const double x = rng.normal(0.0, 1.0);
-                    covariates_.push_back(x);
+                    design_.push_back(x);
                     eta += betaTrue[k] * x;
                 }
                 counts_.push_back(rng.poisson(std::exp(eta)));
                 officer_.push_back(static_cast<int>(o));
-                endOfMonth_.push_back(eom);
             }
         }
     }
@@ -57,17 +60,6 @@ TicketsQuota::TicketsQuota(double dataScale, double subsampleFraction)
                                     * static_cast<double>(counts_.size())));
     likelihoodWeight_ =
         static_cast<double>(counts_.size()) / static_cast<double>(activeRows_);
-
-    // Row-major design matrix for the fused GLM kernel: end-of-month
-    // indicator first, then the covariates, matching the coefficient
-    // order {delta, beta...} the fused path assembles.
-    design_.reserve(counts_.size() * (1 + numCovariates_));
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        design_.push_back(endOfMonth_[i]);
-        const double* row = &covariates_[i * numCovariates_];
-        for (std::size_t k = 0; k < numCovariates_; ++k)
-            design_.push_back(row[k]);
-    }
 
     // The modeled data size is what one likelihood evaluation visits.
     const std::size_t rowBytes = sizeof(long) + sizeof(int)
@@ -136,6 +128,7 @@ TicketsQuota::dataSufficientStats() const
     double sumCounts = 0.0;
     double sumCountsSq = 0.0;
     double officerChecksum = 0.0;
+    const std::size_t rowLen = 1 + numCovariates_;
     double sumEom = 0.0;
     for (std::size_t i = 0; i < activeRows_; ++i) {
         const double c = static_cast<double>(counts_[i]);
@@ -143,13 +136,16 @@ TicketsQuota::dataSufficientStats() const
         sumCountsSq += c * c;
         officerChecksum += static_cast<double>(officer_[i]) *
                            static_cast<double>(i + 1);
-        sumEom += endOfMonth_[i];
+        sumEom += design_[i * rowLen];
     }
     double sumCov = 0.0;
     double sumCovSq = 0.0;
-    for (std::size_t i = 0; i < activeRows_ * numCovariates_; ++i) {
-        sumCov += covariates_[i];
-        sumCovSq += covariates_[i] * covariates_[i];
+    for (std::size_t i = 0; i < activeRows_; ++i) {
+        const double* covariates = &design_[i * rowLen + 1];
+        for (std::size_t k = 0; k < numCovariates_; ++k) {
+            sumCov += covariates[k];
+            sumCovSq += covariates[k] * covariates[k];
+        }
     }
     return {static_cast<double>(counts_.size()),
             static_cast<double>(activeRows_),

@@ -66,9 +66,7 @@ class TicketsQuota : public Workload
     double likelihoodWeight_;
     std::vector<long> counts_;
     std::vector<int> officer_;
-    std::vector<double> endOfMonth_;
-    std::vector<double> covariates_; ///< row-major [row][covariate]
-    std::vector<double> design_;     ///< row-major [row]{eom, covariates}
+    std::vector<double> design_; ///< row-major [row]{eom, covariates}
 };
 
 } // namespace bayes::workloads

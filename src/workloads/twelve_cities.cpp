@@ -48,24 +48,15 @@ TwelveCities::TwelveCities(double dataScale)
                 + trendTrue * yearC + std::log(popExposure[c]);
             deaths_.push_back(rng.poisson(std::exp(logMu)));
             city_.push_back(static_cast<int>(c));
-            limitLowered_.push_back(lowered);
-            yearCentered_.push_back(yearC);
+            design_.push_back(lowered);
+            design_.push_back(yearC);
             logExposure_.push_back(std::log(popExposure[c]));
         }
     }
 
-    // Row-major design matrix for the GLM kernel: the two covariates,
-    // one row per city-year.
-    design_.reserve(deaths_.size() * 2);
-    for (std::size_t i = 0; i < deaths_.size(); ++i) {
-        design_.push_back(limitLowered_[i]);
-        design_.push_back(yearCentered_[i]);
-    }
-
     setModeledDataBytes(deaths_.size() * sizeof(long)
                         + city_.size() * sizeof(int)
-                        + (limitLowered_.size() + yearCentered_.size()
-                           + logExposure_.size())
+                        + (design_.size() + logExposure_.size())
                             * sizeof(double));
 
     setLayout({
@@ -132,8 +123,9 @@ TwelveCities::dataSufficientStats() const
     double sumExposure = 0.0;
     double cityChecksum = 0.0;
     for (std::size_t i = 0; i < deaths_.size(); ++i) {
-        sumLowered += limitLowered_[i];
-        sumYearSq += yearCentered_[i] * yearCentered_[i];
+        const double* row = &design_[i * 2];
+        sumLowered += row[0];
+        sumYearSq += row[1] * row[1];
         sumExposure += logExposure_[i];
         cityChecksum += static_cast<double>(city_[i]) *
                         static_cast<double>(i + 1);

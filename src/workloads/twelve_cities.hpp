@@ -51,10 +51,8 @@ class TwelveCities : public Workload
     std::size_t numCities_;
     std::vector<long> deaths_;
     std::vector<int> city_;
-    std::vector<double> limitLowered_;
-    std::vector<double> yearCentered_;
-    std::vector<double> logExposure_;
     std::vector<double> design_; ///< row-major [row]{lowered, yearC}
+    std::vector<double> logExposure_;
 };
 
 } // namespace bayes::workloads

@@ -2,7 +2,7 @@
  * @file
  * Batched evaluation surface tests: EvalBatch layout, lane-for-lane
  * equality between Evaluator::logProb{,Grad}Batch and the single-point
- * calls they loop over (all six fused workloads, on the fused and on
+ * calls they loop over (all eight fused workloads, on the fused and on
  * the per-observation reference tape, ragged final batches included),
  * and the empty and all-rejected edge cases.
  */
@@ -20,7 +20,8 @@ namespace {
 
 // The suite members with fused vectorized likelihoods.
 const char* const kFusedWorkloads[] = {"ad",      "tickets", "12cities",
-                                       "disease", "votes",   "survival"};
+                                       "disease", "votes",   "survival",
+                                       "memory",  "racial"};
 
 /** Draw @p k unconstrained points for @p eval from a fixed stream. */
 std::vector<std::vector<double>>

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "math/special.hpp"
 #include "support/error.hpp"
@@ -111,9 +113,53 @@ TEST(Special, LbetaMatchesGammaIdentity)
 
 TEST(Special, LchooseMatchesSmallCases)
 {
-    EXPECT_NEAR(lchoose(5, 2), std::log(10.0), 1e-12);
-    EXPECT_NEAR(lchoose(10, 0), 0.0, 1e-12);
-    EXPECT_NEAR(lchoose(52, 5), std::log(2598960.0), 1e-9);
+    EXPECT_NEAR(lchoose(5.0, 2.0), std::log(10.0), 1e-12);
+    EXPECT_NEAR(lchoose(10.0, 0.0), 0.0, 1e-12);
+    EXPECT_NEAR(lchoose(52.0, 5.0), std::log(2598960.0), 1e-9);
+    EXPECT_NEAR(lchoose(52L, 5L), std::log(2598960.0), 1e-9);
+}
+
+// The count likelihoods read logFactorial's table in place of
+// lgammaSafe, so the table must reproduce it exactly, or every draw of
+// the Poisson and binomial workloads would move.
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(Special, LogFactorialIsLgammaSafeBitForBit)
+{
+    for (long n = -50; n < kLogFactorialTableSize + 300; ++n)
+        ASSERT_EQ(bits(logFactorial(n)),
+                  bits(lgammaSafe(static_cast<double>(n) + 1.0)))
+            << "n = " << n;
+    for (long n : {100000L, 1L << 40, -(1L << 40)})
+        EXPECT_EQ(bits(logFactorial(n)),
+                  bits(lgammaSafe(static_cast<double>(n) + 1.0)))
+            << "n = " << n;
+    EXPECT_EQ(logFactorial(-1), INFINITY); // the pole of Gamma at 0
+}
+
+TEST(Special, IntegerLchooseIsTheDoubleFormBitForBit)
+{
+    auto expectSame = [](long n, long k) {
+        EXPECT_EQ(bits(lchoose(n, k)),
+                  bits(lchoose(static_cast<double>(n),
+                               static_cast<double>(k))))
+            << "C(" << n << ", " << k << ")";
+    };
+    for (long n = -3; n < 70; ++n)
+        for (long k = -3; k <= n + 3; ++k)
+            expectSame(n, k);
+    // Across the table's end, where one factor falls back to lgammaSafe.
+    for (long n : {1349L, kLogFactorialTableSize - 1, kLogFactorialTableSize,
+                   kLogFactorialTableSize + 77, 50000L})
+        for (long k : {-1L, 0L, 1L, n / 3, n - 1, n, n + 1})
+            expectSame(n, k);
+    EXPECT_EQ(lchoose(5L, 6L), -INFINITY);  // k > n
+    EXPECT_EQ(lchoose(5L, -1L), -INFINITY); // k < 0
 }
 
 // Edge cases the ubsan ctest label guards: the poles and out-of-support

@@ -309,6 +309,135 @@ TEST(VecKernels, NormalIdGlmMatchesScalarLoop)
     expectMatchesFiniteDifference(leafVals, fused);
 }
 
+/**
+ * Row groups for the varying-intercept kernels: group 0 has no row,
+ * group 1 exactly one, and the rest fall unevenly into groups 2 and up
+ * (group 2 takes every third row besides its random share).
+ */
+std::vector<int>
+unevenGroups(Rng& rng, std::size_t n, std::size_t numG)
+{
+    std::vector<int> group(n);
+    for (std::size_t i = 0; i < n; ++i)
+        group[i] = i == n / 2 ? 1
+            : i % 3 == 0      ? 2
+                              : 2 + static_cast<int>(rng.uniformInt(numG - 2));
+    return group;
+}
+
+TEST(VecKernels, GroupedBernoulliLogitGlmMatchesScalarLoop)
+{
+    Rng rng(83);
+    const std::size_t n = 75, numK = 2, numG = 6;
+    const auto x = randomData(rng, n * numK, -1.5, 1.5);
+    const auto group = unevenGroups(rng, n, numG);
+    std::vector<int> ys(n);
+    for (auto& y : ys)
+        y = rng.bernoulli(0.6);
+    std::vector<double> leafVals = randomData(rng, numG + numK, -1.0, 1.0);
+    auto fused = [&](std::span<const ad::Var> p) {
+        return math::bernoulli_logit_glm_lpmf(
+            std::span<const int>(ys), std::span<const double>(x),
+            std::span<const int>(group), p.subspan(0, numG),
+            p.subspan(numG, numK));
+    };
+    auto scalar = [&](std::span<const ad::Var> p) {
+        ad::Var lp(0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ad::Var eta = p[static_cast<std::size_t>(group[i])];
+            for (std::size_t k = 0; k < numK; ++k)
+                eta += p[numG + k] * x[i * numK + k];
+            lp += math::bernoulli_logit_lpmf(ys[i], eta);
+        }
+        return lp;
+    };
+    expectSamePosterior(leafVals, fused, scalar);
+    expectMatchesFiniteDifference(leafVals, fused);
+}
+
+TEST(VecKernels, GroupedNormalIdGlmMatchesScalarLoop)
+{
+    Rng rng(84);
+    const std::size_t n = 64, numK = 2, numG = 5;
+    const auto x = randomData(rng, n * numK, -2.0, 2.0);
+    const auto ys = randomData(rng, n, 4.0, 8.0);
+    const auto group = unevenGroups(rng, n, numG);
+    std::vector<double> leafVals = randomData(rng, numG, 5.0, 7.0);
+    for (std::size_t k = 0; k < numK; ++k)
+        leafVals.push_back(rng.uniform(-0.5, 0.5));
+    leafVals.push_back(0.7); // sigma
+    auto fused = [&](std::span<const ad::Var> p) {
+        return math::normal_id_glm_lpdf(
+            std::span<const double>(ys), std::span<const double>(x),
+            std::span<const int>(group), p.subspan(0, numG),
+            p.subspan(numG, numK), p[numG + numK]);
+    };
+    auto scalar = [&](std::span<const ad::Var> p) {
+        ad::Var lp(0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ad::Var mu = p[static_cast<std::size_t>(group[i])];
+            for (std::size_t k = 0; k < numK; ++k)
+                mu += p[numG + k] * x[i * numK + k];
+            lp += math::normal_lpdf(ys[i], mu, p[numG + numK]);
+        }
+        return lp;
+    };
+    expectSamePosterior(leafVals, fused, scalar);
+    expectMatchesFiniteDifference(leafVals, fused);
+}
+
+TEST(VecKernels, BinomialLogitGlmMatchesScalarLoop)
+{
+    Rng rng(85);
+    const std::size_t n = 48, numK = 4, numG = 7;
+    // One-hot rows, as racial's race design, then dense ones.
+    std::vector<double> x(n * numK, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i < n / 2)
+            x[i * numK + i % numK] = 1.0;
+        else
+            for (std::size_t k = 0; k < numK; ++k)
+                x[i * numK + k] = rng.uniform(-1.0, 1.0);
+    }
+    const auto group = unevenGroups(rng, n, numG);
+    std::vector<long> ys(n), trials(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        // Trials past the end of logFactorial's table too.
+        trials[i] = i % 5 == 0 ? 1 + static_cast<long>(rng.uniformInt(4000))
+                               : static_cast<long>(rng.uniformInt(60));
+        ys[i] = rng.binomial(trials[i], 0.3);
+    }
+    std::vector<double> leafVals = randomData(rng, numG, -0.8, 0.8);
+    for (std::size_t k = 0; k < numK; ++k)
+        leafVals.push_back(rng.uniform(-2.0, 0.5));
+    for (bool grouped : {true, false}) {
+        SCOPED_TRACE(grouped ? "grouped" : "one intercept");
+        const std::span<const int> groups =
+            grouped ? std::span<const int>(group) : std::span<const int>();
+        auto groupOf = [&](std::size_t i) {
+            return grouped ? static_cast<std::size_t>(group[i]) : 0;
+        };
+        auto fused = [&](std::span<const ad::Var> p) {
+            return math::binomial_logit_glm_lpmf(
+                std::span<const long>(ys), std::span<const long>(trials),
+                std::span<const double>(x), groups, p.subspan(0, numG),
+                p.subspan(numG, numK));
+        };
+        auto scalar = [&](std::span<const ad::Var> p) {
+            ad::Var lp(0.0);
+            for (std::size_t i = 0; i < n; ++i) {
+                ad::Var eta = p[groupOf(i)];
+                for (std::size_t k = 0; k < numK; ++k)
+                    eta += p[numG + k] * x[i * numK + k];
+                lp += math::binomial_logit_lpmf(ys[i], trials[i], eta);
+            }
+            return lp;
+        };
+        expectSamePosterior(leafVals, fused, scalar);
+        expectMatchesFiniteDifference(leafVals, fused);
+    }
+}
+
 TEST(VecKernels, BernoulliLogitScaledGlmMatchesScalarLoop)
 {
     Rng rng(81);
@@ -461,7 +590,8 @@ TEST_P(FusedWorkload, MatchesScalarPathAtRandomPoints)
 
 INSTANTIATE_TEST_SUITE_P(PortedWorkloads, FusedWorkload,
                          ::testing::Values("ad", "12cities", "tickets",
-                                           "disease", "votes", "survival"));
+                                           "disease", "votes", "survival",
+                                           "memory", "racial"));
 
 /**
  * The reference tape is what archsim characterizes for the paper's
@@ -485,6 +615,8 @@ TEST(VecKernels, ReferenceTapeShapeIsPinned)
         {"tickets", 155, 38419, {63, 19915, 16927, 63, 1451}},
         {"disease", 64, 6394, {9, 3546, 2061, 260, 518}},
         {"survival", 3587, 12283, {50, 9162, 360, 50, 2661}},
+        {"memory", 245, 7815, {48, 4740, 1936, 368, 723}},
+        {"racial", 297, 2289, {59, 1246, 572, 11, 401}},
     };
     for (const Shape& shape : shapes) {
         SCOPED_TRACE(shape.name);

@@ -7,7 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "ppl/evaluator.hpp"
 #include "samplers/runner.hpp"
@@ -181,6 +185,52 @@ TEST(WorkloadRegistry, ModeledDataOrderingMatchesPaper)
     EXPECT_GT(tickets, survival);
     EXPECT_GT(tickets, ad);
     EXPECT_GT(std::min(ad, survival), maxOther);
+}
+
+/**
+ * The amortized cache keys on dataSufficientStats(), so the way a
+ * workload stores its data must not move one bit of it. 12cities and
+ * tickets read their covariates from the GLM design matrix; these
+ * values were captured while each covariate was still also kept in a
+ * column of its own.
+ */
+TEST(WorkloadRegistry, DesignMatrixWorkloadsPinTheirDataStats)
+{
+    struct Pinned
+    {
+        const char* name;
+        double scale;
+        std::size_t bytes;
+        std::vector<double> stats;
+    };
+    const Pinned pinned[] = {
+        {"12cities", 1.0, 6912,
+         {0x1.8p+7, 0x1.8p+3, 0x1.852p+11, 0x1.503dp+16, 0x1.3cp+6,
+          0x1.02p+12, 0x1.6e169fd99bc75p+6, 0x1.0e88p+17}},
+        {"12cities", 0.5, 3456,
+         {0x1.8p+6, 0x1.8p+3, 0x1.80cp+10, 0x1.40fep+15, 0x1.28p+5,
+          0x1.08p+9, 0x1.6e169fd99bc75p+5, 0x1.0f9p+15}},
+        {"tickets", 1.0, 140000,
+         {0x1.5ep+10, 0x1.5ep+10, 0x1.9p+5, 0x1.4p+3, 0x1p+0, 0x1.669p+13,
+          0x1.aebbp+17, 0x1.eb3056p+24, 0x1.5ep+9, -0x1.51d1a84251837p+6,
+          0x1.b967226151916p+13}},
+        {"tickets", 0.5, 70000,
+         {0x1.5ep+9, 0x1.5ep+9, 0x1.9p+5, 0x1.4p+3, 0x1p+0, 0x1.5efp+12,
+          0x1.64ffp+16, 0x1.eb7354p+22, 0x1.5ep+8, 0x1.2d4ab79b1734cp+6,
+          0x1.bcb8e15b45622p+12}},
+    };
+    for (const Pinned& p : pinned) {
+        SCOPED_TRACE(std::string(p.name) + " at scale "
+                     + std::to_string(p.scale));
+        const auto wl = makeWorkload(p.name, p.scale);
+        EXPECT_EQ(wl->modeledDataBytes(), p.bytes);
+        const std::vector<double> stats = wl->dataSufficientStats();
+        ASSERT_EQ(stats.size(), p.stats.size());
+        for (std::size_t i = 0; i < stats.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(stats[i]),
+                      std::bit_cast<std::uint64_t>(p.stats[i]))
+                << "stat " << i << ": " << stats[i] << " vs " << p.stats[i];
+    }
 }
 
 } // namespace
