@@ -18,7 +18,7 @@ using namespace bayes;
 
 namespace {
 
-class EightSchools : public ppl::Model
+class EightSchools : public ppl::DensityOf<EightSchools>
 {
   public:
     EightSchools()
@@ -37,22 +37,13 @@ class EightSchools : public ppl::Model
         return sizeof(kEffect) + sizeof(kStderr);
     }
 
-    double logProb(const ppl::ParamView<double>& p) const override
-    {
-        return density(p);
-    }
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override
-    {
-        return density(p);
-    }
-
     static constexpr double kEffect[8] = {28, 8, -3, 7, -1, 1, 18, 12};
     static constexpr double kStderr[8] = {15, 10, 16, 11, 9, 11, 10, 18};
 
-  private:
+    /** The log density, once for both paths (ppl::DensityOf). */
     template <typename T>
     T
-    density(const ppl::ParamView<T>& p) const
+    logDensity(const ppl::ParamView<T>& p) const
     {
         using namespace bayes::math;
         const T& mu = p.scalar(0);
@@ -67,6 +58,7 @@ class EightSchools : public ppl::Model
         return lp;
     }
 
+  private:
     std::string name_ = "eight-schools";
     ppl::ParamLayout layout_;
 };

@@ -7,7 +7,8 @@
  *     y_i ~ student_t(4, alpha + beta * x_i, sigma),   sigma > 0,
  * fitted to synthetic data with known coefficients. Shows the three
  * steps every user of the library follows:
- *   1. implement ppl::Model (parameter layout + templated log density),
+ *   1. implement ppl::Model (parameter layout + one templated log
+ *      density, which ppl::DensityOf serves to both evaluation paths),
  *   2. configure and run the multi-chain NUTS driver,
  *   3. summarize the posterior (means, quantiles, R-hat, ESS).
  */
@@ -24,7 +25,7 @@ using namespace bayes;
 namespace {
 
 /** Robust regression y ~ student_t(4, alpha + beta x, sigma). */
-class RobustRegression : public ppl::Model
+class RobustRegression : public ppl::DensityOf<RobustRegression>
 {
   public:
     RobustRegression()
@@ -54,19 +55,10 @@ class RobustRegression : public ppl::Model
         return (xs_.size() + ys_.size()) * sizeof(double);
     }
 
-    double logProb(const ppl::ParamView<double>& p) const override
-    {
-        return density(p);
-    }
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override
-    {
-        return density(p);
-    }
-
-  private:
+    /** The log density, once for both paths (ppl::DensityOf). */
     template <typename T>
     T
-    density(const ppl::ParamView<T>& p) const
+    logDensity(const ppl::ParamView<T>& p) const
     {
         using namespace bayes::math;
         const T& alpha = p.scalar(0);
@@ -80,6 +72,7 @@ class RobustRegression : public ppl::Model
         return lp;
     }
 
+  private:
     std::string name_ = "robust-regression";
     ppl::ParamLayout layout_;
     std::vector<double> xs_, ys_;

@@ -12,8 +12,6 @@
  */
 #pragma once
 
-#include <vector>
-
 #include "math/functions.hpp"
 
 namespace bayes::math {
@@ -41,17 +39,6 @@ normal_lpdf(const TY& y, const TMu& mu, const TSigma& sigma)
     using T = promote_t<TY, TMu, TSigma>;
     const T z = (y - mu) / sigma;
     return T(-0.5) * square(z) - log(sigma) - kLogSqrtTwoPi;
-}
-
-/** Sum of Normal log densities over a data vector. */
-template <typename TMu, typename TSigma>
-promote_t<TMu, TSigma>
-normal_lpdf(const std::vector<double>& ys, const TMu& mu, const TSigma& sigma)
-{
-    promote_t<TMu, TSigma> lp = 0.0;
-    for (double y : ys)
-        lp += normal_lpdf(y, mu, sigma);
-    return lp;
 }
 
 /** LogNormal(mu, sigma) log density. @pre y > 0, sigma > 0 */

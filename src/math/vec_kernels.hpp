@@ -19,22 +19,26 @@
  *   term per observation, summed from the first term on, so
  *   `lp += kernel(...)` adds exactly the nodes a loop of `lp += term`
  *   adds. This is the reference tape the paper characterizes
- *   (archsim::TapeKind::Reference). The fused-only kernels record a
- *   wide node in either mode; each one's comment names the densities
- *   that branch to their own loop before calling them (disease,
- *   survival, memory, racial).
+ *   (archsim::TapeKind::Reference). The two fused-only kernels,
+ *   bernoulli_logit_scaled_glm_lpmf and dot_vec, record a wide node in
+ *   either mode; the densities that call them (disease, survival)
+ *   branch to their own loop first.
  *
- * The GLM kernels take a row-major n×K design matrix and, optionally,
- * a varying intercept: a per-row group index into a span of intercepts
- * (`group`, `alphas`; an empty group gives every row alphas[0]), so a
- * hierarchical model's per-group effect is one call, not a gather loop.
+ * The four GLM kernels share one data pass, detail::glm, over a
+ * row-major n×K design matrix and, optionally, a varying intercept: a
+ * per-row group index into a span of intercepts (`group`, `alphas`; an
+ * empty group gives every row alphas[0]), so a hierarchical model's
+ * per-group effect is one call, not a gather loop. Each kernel supplies
+ * only its row (the log density at the linear predictor and its
+ * residual) and the scalar term the per-observation tape records.
  * Data-only constants (log y!, log C(n, y)) read math::logFactorial's
  * table.
  *
- * Every kernel is templated so each parameter can independently be a
- * plain double (fixed hyperparameter) or an ad::Var; the all-double
- * instantiation skips the adjoint bookkeeping entirely and returns the
- * plain value, keeping the value-only path (MH, slice, ADVI) fast.
+ * Every kernel is one template over plain double and ad::Var
+ * arguments, so each parameter can independently be a fixed
+ * hyperparameter or tracked; the all-double instantiation skips the
+ * adjoint bookkeeping entirely and returns the plain value, keeping the
+ * value-only path (MH, slice, ADVI) fast.
  *
  * The GLM kernels accumulate the same per-observation expressions in
  * the same order as the scalar loops; the sufficient-statistic kernels
@@ -85,13 +89,18 @@ class WideTerm
 
     void edge(double, double) {}
 
-    ad::Var
+    /** The term as an @p R: the plain value on the all-double path. */
+    template <typename R>
+    R
     emit(double value, ad::OpClass cls = ad::OpClass::Special) const
     {
-        if (!tape_)
+        if constexpr (std::is_same_v<R, double>)
+            return value;
+        else if (!tape_)
             return ad::Var(value);
-        return ad::Var(tape_, value,
-                       tape_->pushWide(parents_, weights_, cls));
+        else
+            return ad::Var(tape_, value,
+                           tape_->pushWide(parents_, weights_, cls));
     }
 
   private:
@@ -178,19 +187,75 @@ groupOf(std::span<const int> group, std::size_t i)
 }
 
 /**
- * Adds a GLM's edges to its wide node: one per intercept, then one per
- * coefficient, read from a partials buffer laid out ∂α then ∂β.
+ * The data pass of the four GLM kernels: over rows i < n of the
+ * row-major n×K design @p x, η_i = α_{g_i} + x_i·β. A kernel supplies
+ * - row(i, η_i, sum, std::bool_constant<Grad>): adds row i's log
+ *   density to sum and, with Grad, returns its residual ∂/∂η_i;
+ * - term(i, η_i): row i's distributions.hpp term on a tracked η_i, the
+ *   scalar loop a per-observation tape records;
+ * - edges(t): any edge after the intercepts' and coefficients' (σ).
+ * Fused, the residuals r_i give ∂α_g = Σ_{i: g_i=g} r_i and ∂β_k =
+ * Σ r_i x_ik. The per-observation tape is found through α and β.
  */
-template <typename TAlpha, typename TBeta>
-void
-glmEdges(WideTerm& t, std::span<const TAlpha> alphas,
-         std::span<const TBeta> betas, const std::vector<double>& partials)
+template <typename R, typename TAlpha, typename TBeta, typename Row,
+          typename Term, typename Edges>
+R
+glm(std::size_t n, std::span<const double> x, std::span<const int> group,
+    std::span<const TAlpha> alphas, std::span<const TBeta> betas, Row row,
+    Term term, Edges edges)
 {
-    t.reserve(alphas.size() + betas.size() + 1);
-    for (std::size_t g = 0; g < alphas.size(); ++g)
-        t.edge(alphas[g], partials[g]);
-    for (std::size_t k = 0; k < betas.size(); ++k)
-        t.edge(betas[k], partials[alphas.size() + k]);
+    constexpr bool grad = std::is_same_v<R, ad::Var>;
+    const std::size_t numK = betas.size();
+    BAYES_ASSERT(x.size() == n * numK);
+    BAYES_ASSERT(group.empty() || group.size() >= n);
+    BAYES_ASSERT(!alphas.empty());
+    if constexpr (grad) {
+        if (perObservation(alphas, betas))
+            return perObservationSum(n, [&](std::size_t i) {
+                const double* xi = x.data() + i * numK;
+                R eta = alphas[groupOf(group, i)];
+                for (std::size_t k = 0; k < numK; ++k)
+                    eta += betas[k] * xi[k];
+                return term(i, eta);
+            });
+    }
+    const std::vector<double> betaV = values(betas);
+    double value = 0.0;
+    std::vector<double> partials;
+    if constexpr (grad)
+        partials.assign(alphas.size() + numK, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t g = groupOf(group, i);
+        const double* xi = x.data() + i * numK;
+        double eta = valueOf(alphas[g]);
+        for (std::size_t k = 0; k < numK; ++k)
+            eta += betaV[k] * xi[k];
+        if constexpr (grad) {
+            const double r = row(i, eta, value, std::true_type{});
+            partials[g] += r;
+            double* dBeta = partials.data() + alphas.size();
+            for (std::size_t k = 0; k < numK; ++k)
+                dBeta[k] += r * xi[k];
+        } else {
+            row(i, eta, value, std::false_type{});
+        }
+    }
+    WideTerm t;
+    if constexpr (grad) {
+        t.reserve(alphas.size() + numK + 1);
+        for (std::size_t g = 0; g < alphas.size(); ++g)
+            t.edge(alphas[g], partials[g]);
+        for (std::size_t k = 0; k < numK; ++k)
+            t.edge(betas[k], partials[alphas.size() + k]);
+        edges(t);
+    }
+    return t.emit<R>(value);
+}
+
+/** No edge past a GLM's intercepts and coefficients. */
+inline void
+noEdges(WideTerm&)
+{
 }
 
 } // namespace detail
@@ -200,63 +265,30 @@ glmEdges(WideTerm& t, std::span<const TAlpha> alphas,
 // ---------------------------------------------------------------------
 
 /**
- * Sum of Normal(mu, sigma) log densities over a data vector, fused via
- * the (shifted) sufficient statistics n, Σ(y-μ), Σ(y-μ)². Fused in
- * either mode: densities reach it only on their value-only path (a
- * double parameter block is a data span), and no density's gradient
- * path calls it.
+ * Sum of Normal(mu, sigma) log densities over a vector: data (its sum
+ * fused via the shifted sufficient statistics n, Σ(y-μ), Σ(y-μ)²) or
+ * parameters (e.g. a hierarchical prior over group effects, with an
+ * edge per element). Per observation, one normal_lpdf term per element.
  */
-template <typename TMu, typename TSigma>
-promote_t<TMu, TSigma>
-normal_lpdf_vec(std::span<const double> ys, const TMu& mu,
-                const TSigma& sigma)
+template <typename TY, typename TMu, typename TSigma>
+promote_t<TY, TMu, TSigma>
+normal_lpdf_vec(std::span<const TY> ys, const TMu& mu, const TSigma& sigma)
 {
-    using R = promote_t<TMu, TSigma>;
-    const double muV = valueOf(mu);
-    const double inv = 1.0 / valueOf(sigma);
-    const double n = static_cast<double>(ys.size());
-    double s1 = 0.0, s2 = 0.0;
-    for (double y : ys) {
-        const double d = y - muV;
-        s1 += d;
-        s2 += d * d;
-    }
-    const double value = -0.5 * s2 * inv * inv
-        - n * (std::log(valueOf(sigma)) + kLogSqrtTwoPi);
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        t.reserve(2);
-        t.edge(mu, s1 * inv * inv);
-        t.edge(sigma, s2 * inv * inv * inv - n * inv);
-        return t.emit(value);
-    } else {
-        return value;
-    }
-}
-
-/**
- * Sum of Normal(mu, sigma) log densities over a *parameter* vector
- * (e.g. a hierarchical prior over group effects): one wide node with an
- * edge per element plus the location/scale edges, or per observation
- * one normal_lpdf term per element.
- */
-template <typename TMu, typename TSigma>
-ad::Var
-normal_lpdf_vec(std::span<const ad::Var> ys, const TMu& mu,
-                const TSigma& sigma)
-{
-    if (detail::perObservation(ys, mu, sigma))
-        return detail::perObservationSum(ys.size(), [&](std::size_t i) {
-            return normal_lpdf(ys[i], mu, sigma);
-        });
-    const double muV = valueOf(mu);
-    const double inv = 1.0 / valueOf(sigma);
-    const double n = static_cast<double>(ys.size());
+    using R = promote_t<TY, TMu, TSigma>;
     detail::WideTerm t;
-    t.reserve(ys.size() + 2);
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        if (detail::perObservation(ys, mu, sigma))
+            return detail::perObservationSum(ys.size(), [&](std::size_t i) {
+                return normal_lpdf(ys[i], mu, sigma);
+            });
+        t.reserve((std::is_same_v<TY, ad::Var> ? ys.size() : 0) + 2);
+    }
+    const double muV = valueOf(mu);
+    const double inv = 1.0 / valueOf(sigma);
+    const double n = static_cast<double>(ys.size());
     double s1 = 0.0, s2 = 0.0;
-    for (const ad::Var& y : ys) {
-        const double d = y.value() - muV;
+    for (const TY& y : ys) {
+        const double d = valueOf(y) - muV;
         s1 += d;
         s2 += d * d;
         t.edge(y, -d * inv * inv);
@@ -265,7 +297,7 @@ normal_lpdf_vec(std::span<const ad::Var> ys, const TMu& mu,
         - n * (std::log(valueOf(sigma)) + kLogSqrtTwoPi);
     t.edge(mu, s1 * inv * inv);
     t.edge(sigma, s2 * inv * inv * inv - n * inv);
-    return t.emit(value);
+    return t.emit<R>(value);
 }
 
 /**
@@ -280,65 +312,52 @@ normal_lpdf_vec(std::span<const double> ys, std::span<const TMu> mus,
 {
     using R = promote_t<TMu, TSigma>;
     BAYES_ASSERT(ys.size() == mus.size());
+    detail::WideTerm t;
     if constexpr (std::is_same_v<R, ad::Var>) {
         if (detail::perObservation(mus, sigma))
             return detail::perObservationSum(ys.size(), [&](std::size_t i) {
                 return normal_lpdf(ys[i], mus[i], sigma);
             });
+        t.reserve(mus.size() + 1);
     }
     const double inv = 1.0 / valueOf(sigma);
     const double n = static_cast<double>(ys.size());
-    detail::WideTerm t;
-    if constexpr (std::is_same_v<R, ad::Var>)
-        t.reserve(mus.size() + 1);
     double ssz = 0.0;
     for (std::size_t i = 0; i < ys.size(); ++i) {
         const double z = (ys[i] - valueOf(mus[i])) * inv;
         ssz += z * z;
-        if constexpr (std::is_same_v<R, ad::Var>)
-            t.edge(mus[i], z * inv);
+        t.edge(mus[i], z * inv);
     }
     const double value =
         -0.5 * ssz - n * (std::log(valueOf(sigma)) + kLogSqrtTwoPi);
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        t.edge(sigma, ssz * inv - n * inv);
-        return t.emit(value);
-    } else {
-        return value;
-    }
+    t.edge(sigma, ssz * inv - n * inv);
+    return t.emit<R>(value);
 }
 
 /**
- * Sum of standard normal log densities over a parameter vector; per
- * observation, one std_normal_lpdf term per element.
+ * Sum of standard normal log densities over a vector; per observation,
+ * one std_normal_lpdf term per element.
  */
-inline ad::Var
-std_normal_lpdf_vec(std::span<const ad::Var> zs)
+template <typename T>
+T
+std_normal_lpdf_vec(std::span<const T> zs)
 {
-    if (detail::perObservation(zs))
-        return detail::perObservationSum(zs.size(), [&](std::size_t i) {
-            return std_normal_lpdf(zs[i]);
-        });
     detail::WideTerm t;
-    t.reserve(zs.size());
+    if constexpr (std::is_same_v<T, ad::Var>) {
+        if (detail::perObservation(zs))
+            return detail::perObservationSum(zs.size(), [&](std::size_t i) {
+                return std_normal_lpdf(zs[i]);
+            });
+        t.reserve(zs.size());
+    }
     double ss = 0.0;
-    for (const ad::Var& z : zs) {
-        ss += z.value() * z.value();
-        t.edge(z, -z.value());
+    for (const T& z : zs) {
+        ss += valueOf(z) * valueOf(z);
+        t.edge(z, -valueOf(z));
     }
     const double value =
         -0.5 * ss - static_cast<double>(zs.size()) * kLogSqrtTwoPi;
-    return t.emit(value);
-}
-
-/** Value-only twin of std_normal_lpdf_vec for the double path. */
-inline double
-std_normal_lpdf_vec(std::span<const double> zs)
-{
-    double ss = 0.0;
-    for (double z : zs)
-        ss += z * z;
-    return -0.5 * ss - static_cast<double>(zs.size()) * kLogSqrtTwoPi;
+    return t.emit<T>(value);
 }
 
 // ---------------------------------------------------------------------
@@ -346,54 +365,32 @@ std_normal_lpdf_vec(std::span<const double> zs)
 // ---------------------------------------------------------------------
 
 /**
- * Sum of Exponential(rate) log densities over a parameter vector; per
- * observation, one exponential_lpdf term per element.
+ * Sum of Exponential(rate) log densities over a vector (data or
+ * parameters); per observation, one exponential_lpdf term per element.
  */
-template <typename TRate>
-ad::Var
-exponential_lpdf_vec(std::span<const ad::Var> ys, const TRate& rate)
+template <typename TY, typename TRate>
+promote_t<TY, TRate>
+exponential_lpdf_vec(std::span<const TY> ys, const TRate& rate)
 {
-    if (detail::perObservation(ys, rate))
-        return detail::perObservationSum(ys.size(), [&](std::size_t i) {
-            return exponential_lpdf(ys[i], rate);
-        });
+    using R = promote_t<TY, TRate>;
+    detail::WideTerm t;
+    if constexpr (std::is_same_v<R, ad::Var>) {
+        if (detail::perObservation(ys, rate))
+            return detail::perObservationSum(ys.size(), [&](std::size_t i) {
+                return exponential_lpdf(ys[i], rate);
+            });
+        t.reserve((std::is_same_v<TY, ad::Var> ? ys.size() : 0) + 1);
+    }
     const double rateV = valueOf(rate);
     const double n = static_cast<double>(ys.size());
-    detail::WideTerm t;
-    t.reserve(ys.size() + 1);
     double sy = 0.0;
-    for (const ad::Var& y : ys) {
-        sy += y.value();
+    for (const TY& y : ys) {
+        sy += valueOf(y);
         t.edge(y, -rateV);
     }
     const double value = n * std::log(rateV) - rateV * sy;
     t.edge(rate, n / rateV - sy);
-    return t.emit(value);
-}
-
-/**
- * Sum of Exponential(rate) log densities over a data vector. Fused in
- * either mode: disease's value-only path calls it (a double parameter
- * block is a data span), and no gradient path does.
- */
-template <typename TRate>
-promote_t<TRate>
-exponential_lpdf_vec(std::span<const double> ys, const TRate& rate)
-{
-    using R = promote_t<TRate>;
-    const double rateV = valueOf(rate);
-    const double n = static_cast<double>(ys.size());
-    double sy = 0.0;
-    for (double y : ys)
-        sy += y;
-    const double value = n * std::log(rateV) - rateV * sy;
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        t.edge(rate, n / rateV - sy);
-        return t.emit(value);
-    } else {
-        return value;
-    }
+    return t.emit<R>(value);
 }
 
 // ---------------------------------------------------------------------
@@ -405,11 +402,7 @@ exponential_lpdf_vec(std::span<const double> ys, const TRate& rate)
  * bernoulli_logit_lpmf(y_i, alpha_{g_i} + x_i·β) over rows of the
  * row-major n×K design matrix @p x.
  * @param group  per-row intercept index; empty means alphas[0] for all
- * Residuals r_i = y_i - invLogit(eta_i) give ∂α_g = Σ_{i: g_i=g} r_i
- * and ∂β_k = Σ r_i x_ik. Per observation, each row records its linear
- * predictor and one bernoulli_logit_lpmf term. memory's density calls
- * the grouped form on its fused path only, branching to its own loop
- * on the reference tape.
+ * Residual r_i = y_i - invLogit(eta_i).
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
@@ -418,49 +411,18 @@ bernoulli_logit_glm_lpmf(std::span<const int> ys, std::span<const double> x,
                          std::span<const TAlpha> alphas,
                          std::span<const TBeta> betas)
 {
-    using R = promote_t<TAlpha, TBeta>;
-    const std::size_t n = ys.size();
-    const std::size_t numK = betas.size();
-    BAYES_ASSERT(x.size() == n * numK);
-    BAYES_ASSERT(group.empty() || group.size() >= n);
-    BAYES_ASSERT(!alphas.empty());
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        if (detail::perObservation(alphas, betas))
-            return detail::perObservationSum(n, [&](std::size_t i) {
-                const double* row = x.data() + i * numK;
-                R eta = alphas[detail::groupOf(group, i)];
-                for (std::size_t k = 0; k < numK; ++k)
-                    eta += betas[k] * row[k];
-                return bernoulli_logit_lpmf(ys[i], eta);
-            });
-    }
-    const std::vector<double> betaV = detail::values(betas);
-    double value = 0.0;
-    std::vector<double> partials;
-    if constexpr (std::is_same_v<R, ad::Var>)
-        partials.assign(alphas.size() + numK, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g = detail::groupOf(group, i);
-        const double* row = x.data() + i * numK;
-        double eta = valueOf(alphas[g]);
-        for (std::size_t k = 0; k < numK; ++k)
-            eta += betaV[k] * row[k];
-        value += ys[i] ? -log1pExp(-eta) : -log1pExp(eta);
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            const double r = static_cast<double>(ys[i]) - invLogit(eta);
-            partials[g] += r;
-            double* dBeta = partials.data() + alphas.size();
-            for (std::size_t k = 0; k < numK; ++k)
-                dBeta[k] += r * row[k];
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        detail::glmEdges(t, alphas, betas, partials);
-        return t.emit(value);
-    } else {
-        return value;
-    }
+    return detail::glm<promote_t<TAlpha, TBeta>>(
+        ys.size(), x, group, alphas, betas,
+        [=]<bool Grad>(std::size_t i, double eta, double& sum,
+                       std::bool_constant<Grad>) {
+            sum += ys[i] ? -log1pExp(-eta) : -log1pExp(eta);
+            if constexpr (Grad)
+                return static_cast<double>(ys[i]) - invLogit(eta);
+        },
+        [&](std::size_t i, const auto& eta) {
+            return bernoulli_logit_lpmf(ys[i], eta);
+        },
+        detail::noEdges);
 }
 
 /** bernoulli_logit_glm_lpmf with one intercept @p alpha for every row. */
@@ -480,9 +442,7 @@ bernoulli_logit_glm_lpmf(std::span<const int> ys, std::span<const double> x,
  * @param group   per-row intercept index; empty means alphas[0] for all
  * @param offset  per-row additive data offset (e.g. log exposure); may
  *                be empty
- * Residuals r_i = y_i - exp(eta_i) give ∂α_g = Σ_{i: g_i=g} r_i and
- * ∂β_k = Σ r_i x_ik. Per observation, each row records its linear
- * predictor and one poisson_log_lpmf term.
+ * Residual r_i = y_i - exp(eta_i).
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
@@ -492,67 +452,36 @@ poisson_log_glm_lpmf(std::span<const long> ys, std::span<const double> x,
                      std::span<const TAlpha> alphas,
                      std::span<const TBeta> betas)
 {
-    using R = promote_t<TAlpha, TBeta>;
-    const std::size_t n = ys.size();
-    const std::size_t numK = betas.size();
-    BAYES_ASSERT(x.size() == n * numK);
-    BAYES_ASSERT(group.empty() || group.size() >= n);
-    BAYES_ASSERT(offset.empty() || offset.size() >= n);
-    BAYES_ASSERT(!alphas.empty());
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        if (detail::perObservation(alphas, betas))
-            return detail::perObservationSum(n, [&](std::size_t i) {
-                const double* row = x.data() + i * numK;
-                R eta = alphas[detail::groupOf(group, i)];
-                for (std::size_t k = 0; k < numK; ++k)
-                    eta += betas[k] * row[k];
-                if (!offset.empty())
-                    eta += offset[i];
-                return poisson_log_lpmf(ys[i], eta);
-            });
-    }
-    const std::vector<double> betaV = detail::values(betas);
-    double value = 0.0;
-    std::vector<double> partials;
-    if constexpr (std::is_same_v<R, ad::Var>)
-        partials.assign(alphas.size() + numK, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g = detail::groupOf(group, i);
-        const double* row = x.data() + i * numK;
-        double eta = valueOf(alphas[g]);
-        for (std::size_t k = 0; k < numK; ++k)
-            eta += betaV[k] * row[k];
-        if (!offset.empty())
-            eta += offset[i];
-        const double expEta = std::exp(eta);
-        const double ky = static_cast<double>(ys[i]);
-        value += ky * eta - expEta - logFactorial(ys[i]);
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            const double r = ky - expEta;
-            partials[g] += r;
-            double* dBeta = partials.data() + alphas.size();
-            for (std::size_t k = 0; k < numK; ++k)
-                dBeta[k] += r * row[k];
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        detail::glmEdges(t, alphas, betas, partials);
-        return t.emit(value);
-    } else {
-        return value;
-    }
+    BAYES_ASSERT(offset.empty() || offset.size() >= ys.size());
+    return detail::glm<promote_t<TAlpha, TBeta>>(
+        ys.size(), x, group, alphas, betas,
+        [=]<bool Grad>(std::size_t i, double eta, double& sum,
+                       std::bool_constant<Grad>) {
+            if (!offset.empty())
+                eta += offset[i];
+            const double expEta = std::exp(eta);
+            const double ky = static_cast<double>(ys[i]);
+            sum += ky * eta - expEta - logFactorial(ys[i]);
+            if constexpr (Grad)
+                return ky - expEta;
+        },
+        [&](std::size_t i, auto eta) {
+            if (!offset.empty())
+                eta += offset[i];
+            return poisson_log_lpmf(ys[i], eta);
+        },
+        detail::noEdges);
 }
 
 /**
  * Normal identity-link GLM with optional varying intercepts: sum of
  * normal_lpdf(y_i, alpha_{g_i} + x_i·β, sigma).
  * @param group  per-row intercept index; empty means alphas[0] for all
- * With z_i = (y_i - mu_i)/sigma: ∂α_g = Σ_{i: g_i=g} z_i/σ, ∂β_k = Σ z_i
- * x_ik/σ, ∂σ = Σ (z_i² - 1)/σ. Fused in either mode: disease's and
- * memory's densities branch to their own per-observation loops before
- * calling it, since each of their loops feeds two likelihood terms per
- * row (one score per visit, one subject's effects per trial).
+ * With z_i = (y_i - mu_i)/sigma: residual z_i/σ, and ∂σ = Σ (z_i² -
+ * 1)/σ. disease's and memory's densities branch to their own
+ * per-observation loops before calling it, since each of their loops
+ * feeds two likelihood terms per row (one score per visit, one
+ * subject's effects per trial).
  */
 template <typename TAlpha, typename TBeta, typename TSigma>
 promote_t<TAlpha, TBeta, TSigma>
@@ -561,45 +490,24 @@ normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
                    std::span<const TAlpha> alphas,
                    std::span<const TBeta> betas, const TSigma& sigma)
 {
-    using R = promote_t<TAlpha, TBeta, TSigma>;
-    const std::size_t n = ys.size();
-    const std::size_t numK = betas.size();
-    BAYES_ASSERT(x.size() == n * numK);
-    BAYES_ASSERT(group.empty() || group.size() >= n);
-    BAYES_ASSERT(!alphas.empty());
     const double inv = 1.0 / valueOf(sigma);
     const double logSigma = std::log(valueOf(sigma));
-    const std::vector<double> betaV = detail::values(betas);
-    double value = 0.0;
     double dSigma = 0.0;
-    std::vector<double> partials;
-    if constexpr (std::is_same_v<R, ad::Var>)
-        partials.assign(alphas.size() + numK, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g = detail::groupOf(group, i);
-        const double* row = x.data() + i * numK;
-        double mu = valueOf(alphas[g]);
-        for (std::size_t k = 0; k < numK; ++k)
-            mu += betaV[k] * row[k];
-        const double z = (ys[i] - mu) * inv;
-        value += -0.5 * z * z - logSigma - kLogSqrtTwoPi;
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            const double rs = z * inv;
-            partials[g] += rs;
-            double* dBeta = partials.data() + alphas.size();
-            for (std::size_t k = 0; k < numK; ++k)
-                dBeta[k] += rs * row[k];
-            dSigma += (z * z - 1.0) * inv;
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        detail::glmEdges(t, alphas, betas, partials);
-        t.edge(sigma, dSigma);
-        return t.emit(value);
-    } else {
-        return value;
-    }
+    return detail::glm<promote_t<TAlpha, TBeta, TSigma>>(
+        ys.size(), x, group, alphas, betas,
+        [=, &dSigma]<bool Grad>(std::size_t i, double mu, double& sum,
+                                std::bool_constant<Grad>) {
+            const double z = (ys[i] - mu) * inv;
+            sum += -0.5 * z * z - logSigma - kLogSqrtTwoPi;
+            if constexpr (Grad) {
+                dSigma += (z * z - 1.0) * inv;
+                return z * inv;
+            }
+        },
+        [&](std::size_t i, const auto& mu) {
+            return normal_lpdf(ys[i], mu, sigma);
+        },
+        [&](detail::WideTerm& t) { t.edge(sigma, dSigma); });
 }
 
 /** normal_id_glm_lpdf with one intercept @p alpha for every row. */
@@ -619,10 +527,9 @@ normal_id_glm_lpdf(std::span<const double> ys, std::span<const double> x,
  * binomial_logit_lpmf(y_i, n_i, alpha_{g_i} + x_i·β). Each row's
  * constant lchoose(n_i, y_i) reads logFactorial's table.
  * @param group  per-row intercept index; empty means alphas[0] for all
- * Residuals r_i = y_i - n_i·invLogit(eta_i) give ∂α_g = Σ_{i: g_i=g}
- * r_i and ∂β_k = Σ r_i x_ik. Fused in either mode: racial's density
- * branches to its own per-observation loop before calling it, since
- * that loop interleaves the search and hit terms cell by cell.
+ * Residual r_i = y_i - n_i·invLogit(eta_i). racial's density branches
+ * to its own per-observation loop before calling it, since that loop
+ * interleaves the search and hit terms cell by cell.
  */
 template <typename TAlpha, typename TBeta>
 promote_t<TAlpha, TBeta>
@@ -632,51 +539,31 @@ binomial_logit_glm_lpmf(std::span<const long> ys, std::span<const long> ns,
                         std::span<const TAlpha> alphas,
                         std::span<const TBeta> betas)
 {
-    using R = promote_t<TAlpha, TBeta>;
-    const std::size_t n = ys.size();
-    const std::size_t numK = betas.size();
-    BAYES_ASSERT(ns.size() == n);
-    BAYES_ASSERT(x.size() == n * numK);
-    BAYES_ASSERT(group.empty() || group.size() >= n);
-    BAYES_ASSERT(!alphas.empty());
-    const std::vector<double> betaV = detail::values(betas);
-    double value = 0.0;
-    std::vector<double> partials;
-    if constexpr (std::is_same_v<R, ad::Var>)
-        partials.assign(alphas.size() + numK, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g = detail::groupOf(group, i);
-        const double* row = x.data() + i * numK;
-        double eta = valueOf(alphas[g]);
-        for (std::size_t k = 0; k < numK; ++k)
-            eta += betaV[k] * row[k];
-        const double ky = static_cast<double>(ys[i]);
-        const double ny = static_cast<double>(ns[i]);
-        value += lchoose(ns[i], ys[i]) - ky * log1pExp(-eta)
-            - (ny - ky) * log1pExp(eta);
-        if constexpr (std::is_same_v<R, ad::Var>) {
-            const double r = ky - ny * invLogit(eta);
-            partials[g] += r;
-            double* dBeta = partials.data() + alphas.size();
-            for (std::size_t k = 0; k < numK; ++k)
-                dBeta[k] += r * row[k];
-        }
-    }
-    if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
-        detail::glmEdges(t, alphas, betas, partials);
-        return t.emit(value);
-    } else {
-        return value;
-    }
+    BAYES_ASSERT(ns.size() == ys.size());
+    return detail::glm<promote_t<TAlpha, TBeta>>(
+        ys.size(), x, group, alphas, betas,
+        [=]<bool Grad>(std::size_t i, double eta, double& sum,
+                       std::bool_constant<Grad>) {
+            const double ky = static_cast<double>(ys[i]);
+            const double ny = static_cast<double>(ns[i]);
+            sum += lchoose(ns[i], ys[i]) - ky * log1pExp(-eta)
+                - (ny - ky) * log1pExp(eta);
+            if constexpr (Grad)
+                return ky - ny * invLogit(eta);
+        },
+        [&](std::size_t i, const auto& eta) {
+            return binomial_logit_lpmf(ys[i], ns[i], eta);
+        },
+        detail::noEdges);
 }
 
 /**
  * Bernoulli-logit GLM on an affinely rescaled score: sum of
  * bernoulli_logit_lpmf(y_i, scale * (x_i·w - shift)). With residuals
- * r_i as above: ∂w_k = Σ r_i·scale·x_ik, ∂scale = Σ r_i (x_i·w -
- * shift), ∂shift = -scale Σ r_i. Fused in either mode: disease's
- * density branches to its own per-observation loop before calling it.
+ * r_i = y_i - invLogit(eta_i): ∂w_k = Σ r_i·scale·x_ik, ∂scale = Σ r_i
+ * (x_i·w - shift), ∂shift = -scale Σ r_i. Fused in either mode:
+ * disease's density branches to its own per-observation loop before
+ * calling it.
  */
 template <typename TW, typename TScale, typename TShift>
 promote_t<TW, TScale, TShift>
@@ -712,17 +599,15 @@ bernoulli_logit_scaled_glm_lpmf(std::span<const int> ys,
             dShift -= r * scaleV;
         }
     }
+    detail::WideTerm t;
     if constexpr (std::is_same_v<R, ad::Var>) {
-        detail::WideTerm t;
         t.reserve(numK + 2);
         for (std::size_t k = 0; k < numK; ++k)
             t.edge(ws[k], dW[k]);
-        t.edge(scale, dScale);
-        t.edge(shift, dShift);
-        return t.emit(value);
-    } else {
-        return value;
     }
+    t.edge(scale, dScale);
+    t.edge(shift, dShift);
+    return t.emit<R>(value);
 }
 
 // ---------------------------------------------------------------------
@@ -730,36 +615,27 @@ bernoulli_logit_scaled_glm_lpmf(std::span<const int> ys,
 // ---------------------------------------------------------------------
 
 /**
- * Weighted sum Σ w_i v_i of tracked scalars with data weights as one
- * wide node (∂v_i = w_i). Collapses repeated likelihood contributions
- * (e.g. the capture-history terms of the survival model, where w_i
- * counts how many individuals share term v_i). Fused in either mode:
- * survival's density branches to its per-individual loop before
- * calling it.
+ * Weighted sum Σ w_i v_i of scalars with data weights, as one wide node
+ * (∂v_i = w_i) when they are tracked. Collapses repeated likelihood
+ * contributions (e.g. the capture-history terms of the survival model,
+ * where w_i counts how many individuals share term v_i). Fused in
+ * either mode: survival's density branches to its per-individual loop
+ * before calling it.
  */
-inline ad::Var
-dot_vec(std::span<const ad::Var> vs, std::span<const double> ws)
+template <typename T>
+T
+dot_vec(std::span<const T> vs, std::span<const double> ws)
 {
     BAYES_ASSERT(vs.size() == ws.size());
     detail::WideTerm t;
-    t.reserve(vs.size());
+    if constexpr (std::is_same_v<T, ad::Var>)
+        t.reserve(vs.size());
     double value = 0.0;
     for (std::size_t i = 0; i < vs.size(); ++i) {
-        value += ws[i] * vs[i].value();
+        value += ws[i] * valueOf(vs[i]);
         t.edge(vs[i], ws[i]);
     }
-    return t.emit(value, ad::OpClass::Mul);
-}
-
-/** Value-only twin of dot_vec for the double path. */
-inline double
-dot_vec(std::span<const double> vs, std::span<const double> ws)
-{
-    BAYES_ASSERT(vs.size() == ws.size());
-    double value = 0.0;
-    for (std::size_t i = 0; i < vs.size(); ++i)
-        value += ws[i] * vs[i];
-    return value;
+    return t.emit<T>(value, ad::OpClass::Mul);
 }
 
 } // namespace bayes::math

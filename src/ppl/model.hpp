@@ -2,9 +2,10 @@
  * @file
  * The probabilistic-model interface. A Model declares its parameter
  * blocks (name, size, constraint) and evaluates the log joint density
- * of data and constrained parameters. Workloads implement the templated
- * body once and forward to the two virtual entry points (double for
- * value-only evaluation, ad::Var for gradient evaluation).
+ * of data and constrained parameters through two virtual entry points
+ * (double for value-only evaluation, ad::Var for gradient evaluation).
+ * A model that writes its density once, as a template over both, says
+ * so by deriving from DensityOf.
  */
 #pragma once
 
@@ -193,6 +194,36 @@ class Model
      * Ordering must be deterministic across processes.
      */
     virtual std::vector<double> dataSufficientStats() const { return {}; }
+};
+
+/**
+ * A Model whose density is written once: @p Self defines
+ *
+ *     template <typename T> T logDensity(const ParamView<T>& p) const;
+ *
+ * and both logProb overrides call it, so the value-only and the
+ * gradient path evaluate one body and no subclass can split them. A
+ * Self that defines logDensity in a source file instantiates it there
+ * for double and ad::Var. @p Base is Model or a Model subclass
+ * (workloads::Workload), whose constructors DensityOf inherits.
+ */
+template <typename Self, typename Base = Model>
+class DensityOf : public Base
+{
+  public:
+    using Base::Base;
+
+    double
+    logProb(const ParamView<double>& p) const final
+    {
+        return static_cast<const Self&>(*this).logDensity(p);
+    }
+
+    ad::Var
+    logProb(const ParamView<ad::Var>& p) const final
+    {
+        return static_cast<const Self&>(*this).logDensity(p);
+    }
 };
 
 } // namespace bayes::ppl

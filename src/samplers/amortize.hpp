@@ -15,8 +15,7 @@
  *
  * The acceptance gate combines three deterministic diagnostics, all
  * precomputed so the per-request decision is three comparisons against
- * the thresholds in amortize_gate.hpp (lint rule R014 keeps every
- * threshold literal there):
+ * the thresholds in GateThresholds:
  *  1. Pareto-k̂ of the importance ratios log p(θ) − log q(θ) over draws
  *     θ ~ q from the ADVI fit (diagnostics::paretoKhat), fixed at fit
  *     time;
@@ -47,10 +46,35 @@
 #include "ppl/evaluator.hpp"
 #include "ppl/model.hpp"
 #include "samplers/advi.hpp"
-#include "samplers/amortize_gate.hpp"
 #include "samplers/types.hpp"
 
 namespace bayes::samplers::amortize {
+
+/**
+ * Thresholds the per-request acceptance gate compares against. What
+ * each one rejects:
+ *  - khatMax: the Pareto-k̂ tail-shape estimate of the ADVI-proposal
+ *    importance ratios. k̂ above ~0.7 is the PSIS reliability cutoff —
+ *    the variational fit misses enough posterior mass that importance
+ *    correction (and hence the cheap answer) cannot be trusted.
+ *  - klMax: moment-matched Gaussian KL divergence between the ADVI
+ *    posterior and the cached NUTS reference summary, averaged over
+ *    coordinates. Catches mean/scale drift of the cheap fit even when
+ *    its tails look fine.
+ *  - refRhatMax: max split-R̂ of the cached NUTS reference run. A
+ *    reference that never converged cannot vouch for the cheap tier,
+ *    whatever the KL says.
+ */
+struct GateThresholds
+{
+    /** Reject when Pareto-k̂ of the importance ratios exceeds this. */
+    double khatMax = 0.70;
+    /** Reject when mean per-coordinate Gaussian KL vs the NUTS
+     * reference exceeds this (nats). */
+    double klMax = 1.0;
+    /** Reject when the reference run's max split-R̂ exceeds this. */
+    double refRhatMax = 1.10;
+};
 
 /** Tuning for the cheap tier. */
 struct AmortizeConfig
@@ -59,7 +83,7 @@ struct AmortizeConfig
     AdviConfig advi;
     /** Draws from q used for the importance-ratio k̂ estimate. */
     int importanceDraws = 256;
-    /** Acceptance-gate thresholds (see amortize_gate.hpp). */
+    /** Acceptance-gate thresholds. */
     GateThresholds gate;
 };
 

@@ -9,7 +9,7 @@
 namespace bayes::workloads {
 
 AdAttribution::AdAttribution(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "ad", "Logistic Regression",
               "Advertising attribution in the movie industry",
@@ -67,17 +67,10 @@ AdAttribution::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-AdAttribution::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-AdAttribution::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+AdAttribution::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+AdAttribution::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 std::vector<double>
 AdAttribution::dataSufficientStats() const

@@ -15,13 +15,13 @@
 namespace bayes::workloads {
 
 /** Logistic-regression advertising attribution workload. */
-class AdAttribution : public Workload
+class AdAttribution : public ppl::DensityOf<AdAttribution, Workload>
 {
   public:
     explicit AdAttribution(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of survey respondents. */
     std::size_t numRespondents() const { return outcomes_.size(); }
@@ -39,9 +39,6 @@ class AdAttribution : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numFeatures_;
     std::vector<int> outcomes_;
     std::vector<double> features_; ///< row-major [respondent][feature]

@@ -9,7 +9,7 @@
 namespace bayes::workloads {
 
 AnimalSurvival::AnimalSurvival(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "survival", "Cormack-Jolly-Seber",
               "Estimating animal survival probabilities",
@@ -188,17 +188,10 @@ AnimalSurvival::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-AnimalSurvival::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-AnimalSurvival::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+AnimalSurvival::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+AnimalSurvival::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 std::vector<double>
 AnimalSurvival::dataSufficientStats() const

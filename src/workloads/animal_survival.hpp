@@ -17,13 +17,13 @@
 namespace bayes::workloads {
 
 /** Cormack-Jolly-Seber capture-recapture workload. */
-class AnimalSurvival : public Workload
+class AnimalSurvival : public ppl::DensityOf<AnimalSurvival, Workload>
 {
   public:
     explicit AnimalSurvival(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of tagged individuals. */
     std::size_t numIndividuals() const { return firstCapture_.size(); }
@@ -49,9 +49,6 @@ class AnimalSurvival : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numOccasions_;
     std::size_t numGroups_;
     std::vector<int> firstCapture_;  ///< release occasion per individual

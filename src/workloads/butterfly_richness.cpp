@@ -7,7 +7,7 @@
 namespace bayes::workloads {
 
 ButterflyRichness::ButterflyRichness(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "butterfly", "Hierarchical Bayesian",
               "Estimating butterfly species richness and accumulation",
@@ -92,16 +92,9 @@ ButterflyRichness::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-ButterflyRichness::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-ButterflyRichness::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+ButterflyRichness::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+ButterflyRichness::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 } // namespace bayes::workloads

@@ -18,13 +18,13 @@
 namespace bayes::workloads {
 
 /** Species richness occupancy/detection workload. */
-class ButterflyRichness : public Workload
+class ButterflyRichness : public ppl::DensityOf<ButterflyRichness, Workload>
 {
   public:
     explicit ButterflyRichness(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of species in the augmented pool. */
     std::size_t numSpecies() const { return numSpecies_; }
@@ -47,9 +47,6 @@ class ButterflyRichness : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numSpecies_;
     std::size_t numSites_;
     long visits_;

@@ -10,7 +10,7 @@
 namespace bayes::workloads {
 
 DiseaseProgression::DiseaseProgression(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "disease", "Logistic Regression",
               "Measuring the continually worsening progression of "
@@ -119,17 +119,10 @@ DiseaseProgression::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-DiseaseProgression::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-DiseaseProgression::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+DiseaseProgression::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+DiseaseProgression::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 std::vector<double>
 DiseaseProgression::dataSufficientStats() const

@@ -15,13 +15,13 @@
 namespace bayes::workloads {
 
 /** Monotone I-spline disease-progression workload. */
-class DiseaseProgression : public Workload
+class DiseaseProgression : public ppl::DensityOf<DiseaseProgression, Workload>
 {
   public:
     explicit DiseaseProgression(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of biomarker observations. */
     std::size_t numObservations() const { return biomarker_.size(); }
@@ -42,9 +42,6 @@ class DiseaseProgression : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     /** I-spline basis value for basis k at standardized time t. */
     static double isplineBasis(std::size_t k, std::size_t nBasis, double t);
 

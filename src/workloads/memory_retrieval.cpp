@@ -10,7 +10,7 @@
 namespace bayes::workloads {
 
 MemoryRetrieval::MemoryRetrieval(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "memory", "Hierarchical Bayesian",
               "Modeling memory retrieval in sentence comprehension",
@@ -148,16 +148,9 @@ MemoryRetrieval::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-MemoryRetrieval::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-MemoryRetrieval::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+MemoryRetrieval::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+MemoryRetrieval::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 } // namespace bayes::workloads

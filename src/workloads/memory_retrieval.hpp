@@ -15,13 +15,13 @@
 namespace bayes::workloads {
 
 /** Hierarchical retrieval accuracy + latency workload. */
-class MemoryRetrieval : public Workload
+class MemoryRetrieval : public ppl::DensityOf<MemoryRetrieval, Workload>
 {
   public:
     explicit MemoryRetrieval(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of participants. */
     std::size_t numSubjects() const { return numSubjects_; }
@@ -45,9 +45,6 @@ class MemoryRetrieval : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numSubjects_;
     std::vector<int> subject_;
     std::vector<double> load_;

@@ -18,7 +18,7 @@ constexpr double kSigmaTrue = 0.08;
 } // namespace
 
 PkpdOde::PkpdOde(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "ode", "Friberg-Karlsson Semi-Mechanistic",
               "Solving ordinary differential equations of non-linear "
@@ -120,16 +120,9 @@ PkpdOde::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-PkpdOde::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-PkpdOde::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+PkpdOde::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+PkpdOde::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 } // namespace bayes::workloads

@@ -16,13 +16,13 @@
 namespace bayes::workloads {
 
 /** PK/PD ordinary-differential-equation workload. */
-class PkpdOde : public Workload
+class PkpdOde : public ppl::DensityOf<PkpdOde, Workload>
 {
   public:
     explicit PkpdOde(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Observation times (days after dose). */
     const std::vector<double>& times() const { return times_; }
@@ -41,9 +41,6 @@ class PkpdOde : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     /** Solve the Friberg-Karlsson system at the observation times. */
     template <typename T>
     std::vector<T> solveCirc(const T& mtt, const T& circ0, const T& gamma,

@@ -9,7 +9,7 @@
 namespace bayes::workloads {
 
 RacialThreshold::RacialThreshold(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "racial", "Hierarchical Bayesian",
               "Testing for racial bias in vehicle searches by police",
@@ -152,16 +152,9 @@ RacialThreshold::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-RacialThreshold::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-RacialThreshold::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+RacialThreshold::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+RacialThreshold::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 } // namespace bayes::workloads

@@ -16,13 +16,13 @@
 namespace bayes::workloads {
 
 /** Hierarchical threshold-test workload. */
-class RacialThreshold : public Workload
+class RacialThreshold : public ppl::DensityOf<RacialThreshold, Workload>
 {
   public:
     explicit RacialThreshold(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of police departments. */
     std::size_t numDepartments() const { return numDepartments_; }
@@ -41,9 +41,6 @@ class RacialThreshold : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numDepartments_;
     std::size_t numRaces_;
     std::vector<long> stops_;    ///< [dept * races + race]

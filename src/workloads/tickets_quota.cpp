@@ -9,7 +9,7 @@
 namespace bayes::workloads {
 
 TicketsQuota::TicketsQuota(double dataScale, double subsampleFraction)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "tickets", "Logistic Regression",
               "Do police officers alter the ticket writing to match "
@@ -108,17 +108,10 @@ TicketsQuota::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-TicketsQuota::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-TicketsQuota::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+TicketsQuota::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+TicketsQuota::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 std::vector<double>
 TicketsQuota::dataSufficientStats() const

@@ -16,7 +16,7 @@
 namespace bayes::workloads {
 
 /** Officer ticket-writing quota workload. */
-class TicketsQuota : public Workload
+class TicketsQuota : public ppl::DensityOf<TicketsQuota, Workload>
 {
   public:
     /**
@@ -32,8 +32,8 @@ class TicketsQuota : public Workload
     /** Rows the likelihood actually visits per evaluation. */
     std::size_t activeRows() const { return activeRows_; }
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of officers. */
     std::size_t numOfficers() const { return numOfficers_; }
@@ -57,9 +57,6 @@ class TicketsQuota : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numOfficers_;
     std::size_t numCovariates_;
     std::size_t activeRows_;

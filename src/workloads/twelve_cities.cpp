@@ -10,7 +10,7 @@
 namespace bayes::workloads {
 
 TwelveCities::TwelveCities(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "12cities", "Poisson Regression",
               "Does lowering speed limits save pedestrian lives?",
@@ -94,17 +94,10 @@ TwelveCities::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-TwelveCities::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-TwelveCities::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+TwelveCities::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+TwelveCities::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 std::vector<double>
 TwelveCities::dataSufficientStats() const

@@ -15,13 +15,13 @@
 namespace bayes::workloads {
 
 /** Poisson-regression speed-limit policy workload. */
-class TwelveCities : public Workload
+class TwelveCities : public ppl::DensityOf<TwelveCities, Workload>
 {
   public:
     explicit TwelveCities(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Observed pedestrian death counts (one per city-year row). */
     const std::vector<long>& deaths() const { return deaths_; }
@@ -45,9 +45,6 @@ class TwelveCities : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::size_t numCities_;
     std::vector<long> deaths_;
     std::vector<int> city_;

@@ -10,7 +10,7 @@
 namespace bayes::workloads {
 
 VotesForecast::VotesForecast(double dataScale)
-    : Workload(
+    : DensityOf(
           WorkloadInfo{
               "votes", "Hierarchical Gaussian Processes",
               "Forecasting presidential votes",
@@ -91,17 +91,10 @@ VotesForecast::logDensity(const ppl::ParamView<T>& p) const
     return lp;
 }
 
-double
-VotesForecast::logProb(const ppl::ParamView<double>& p) const
-{
-    return logDensity(p);
-}
-
-ad::Var
-VotesForecast::logProb(const ppl::ParamView<ad::Var>& p) const
-{
-    return logDensity(p);
-}
+template double
+VotesForecast::logDensity(const ppl::ParamView<double>&) const;
+template ad::Var
+VotesForecast::logDensity(const ppl::ParamView<ad::Var>&) const;
 
 std::vector<double>
 VotesForecast::dataSufficientStats() const

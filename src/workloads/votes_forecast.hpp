@@ -17,13 +17,13 @@
 namespace bayes::workloads {
 
 /** Gaussian-process election-forecast workload. */
-class VotesForecast : public Workload
+class VotesForecast : public ppl::DensityOf<VotesForecast, Workload>
 {
   public:
     explicit VotesForecast(double dataScale = 1.0);
 
-    double logProb(const ppl::ParamView<double>& p) const override;
-    ad::Var logProb(const ppl::ParamView<ad::Var>& p) const override;
+    template <typename T>
+    T logDensity(const ppl::ParamView<T>& p) const;
 
     /** Number of GP grid points (election cycles). */
     std::size_t numCycles() const { return cycleYears_.size(); }
@@ -47,9 +47,6 @@ class VotesForecast : public Workload
     };
 
   private:
-    template <typename T>
-    T logDensity(const ppl::ParamView<T>& p) const;
-
     std::vector<double> cycleYears_; ///< standardized cycle coordinates
     std::vector<double> observed_;   ///< observed vote share (logit)
     std::size_t numObserved_;

@@ -35,15 +35,6 @@ TEST(Distributions, StdNormalMatchesNormal)
         EXPECT_NEAR(std_normal_lpdf(y), normal_lpdf(y, 0.0, 1.0), 1e-12);
 }
 
-TEST(Distributions, VectorizedNormalEqualsSum)
-{
-    const std::vector<double> ys = {0.1, -0.7, 2.2};
-    double sum = 0.0;
-    for (double y : ys)
-        sum += normal_lpdf(y, 0.5, 1.5);
-    EXPECT_NEAR(normal_lpdf(ys, 0.5, 1.5), sum, 1e-12);
-}
-
 TEST(Distributions, LognormalConsistentWithNormal)
 {
     // If X ~ LogNormal(m, s), log density relates via change of vars.

@@ -66,7 +66,7 @@ TEST(Lint, FixtureSelfTestFiresEveryRuleExactlyWhereSeeded)
     // and the cross-cutting passes (layering, guarded-by, clocks).
     for (const char* rule :
          {"R000", "R001", "R002", "R003", "R004", "R005", "R007", "R009",
-          "R010", "R011", "R012", "R013", "R014"}) {
+          "R010", "R011", "R012", "R013"}) {
         EXPECT_NE(r.output.find(rule), std::string::npos)
             << "fixture run never mentions " << rule << "\n"
             << r.output;

@@ -4,11 +4,12 @@
  * is pinned against the scalar-loop tape path (values to 1e-12
  * relative, gradients to 1e-10 relative), cross-checked against central
  * finite differences, and the wide-node reverse sweep is exercised
- * across edge counts K ∈ {0, 1, 2, 7, 1000}. The ported workloads are
- * then compared end-to-end: the fused tape vs the per-observation
- * reference tape (ad::Tape::setPerObservation) at randomized
- * unconstrained points, and the reference tape's shape is pinned per
- * workload.
+ * across edge counts K ∈ {0, 1, 2, 7, 1000}. On a per-observation tape
+ * the GLM kernels are pinned node for node to the scalar loop. The
+ * ported workloads are then compared end-to-end: the fused tape vs the
+ * per-observation reference tape (ad::Tape::setPerObservation) at
+ * randomized unconstrained points, and the reference tape's shape is
+ * pinned per workload.
  */
 #include <gtest/gtest.h>
 
@@ -435,6 +436,116 @@ TEST(VecKernels, BinomialLogitGlmMatchesScalarLoop)
         };
         expectSamePosterior(leafVals, fused, scalar);
         expectMatchesFiniteDifference(leafVals, fused);
+    }
+}
+
+/**
+ * On a per-observation tape every GLM kernel records the scalar loop a
+ * Stan model writes, row by row: the linear predictor and one
+ * distributions.hpp term, summed from the first row on. So the kernel's
+ * tape has exactly the nodes and op classes of that loop written out
+ * by hand, and the same log density and adjoints.
+ */
+TEST(VecKernels, PerObservationGlmsRecordTheScalarLoop)
+{
+    Rng rng(86);
+    const std::size_t n = 60, numK = 3, numG = 6;
+    const auto x = randomData(rng, n * numK, -1.0, 1.0);
+    const auto offset = randomData(rng, n, -0.5, 0.5);
+    const auto group = unevenGroups(rng, n, numG);
+    const auto reals = randomData(rng, n, -2.0, 2.0);
+    std::vector<int> bits(n);
+    std::vector<long> counts(n), trials(n), successes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        bits[i] = rng.bernoulli(0.5);
+        counts[i] = rng.poisson(2.0);
+        trials[i] = 1 + static_cast<long>(rng.uniformInt(30));
+        successes[i] = rng.binomial(trials[i], 0.4);
+    }
+    std::vector<double> leafVals = randomData(rng, numG + numK, -0.8, 0.8);
+    leafVals.push_back(0.9); // sigma, read by the normal GLM only
+
+    using Params = std::span<const ad::Var>;
+    const std::span<const int> groups(group);
+    auto eta = [&](Params p, std::size_t i) {
+        ad::Var e = p[static_cast<std::size_t>(group[i])];
+        for (std::size_t k = 0; k < numK; ++k)
+            e += p[numG + k] * x[i * numK + k];
+        return e;
+    };
+    struct Glm
+    {
+        const char* name;
+        std::function<ad::Var(Params)> kernel;
+        std::function<ad::Var(Params, std::size_t)> term;
+    };
+    const Glm glms[] = {
+        {"bernoulli_logit_glm_lpmf",
+         [&](Params p) {
+             return math::bernoulli_logit_glm_lpmf(
+                 std::span<const int>(bits), std::span<const double>(x),
+                 groups, p.subspan(0, numG), p.subspan(numG, numK));
+         },
+         [&](Params p, std::size_t i) {
+             return math::bernoulli_logit_lpmf(bits[i], eta(p, i));
+         }},
+        {"poisson_log_glm_lpmf",
+         [&](Params p) {
+             return math::poisson_log_glm_lpmf(
+                 std::span<const long>(counts), std::span<const double>(x),
+                 groups, std::span<const double>(offset), p.subspan(0, numG),
+                 p.subspan(numG, numK));
+         },
+         [&](Params p, std::size_t i) {
+             ad::Var e = eta(p, i);
+             e += offset[i];
+             return math::poisson_log_lpmf(counts[i], e);
+         }},
+        {"normal_id_glm_lpdf",
+         [&](Params p) {
+             return math::normal_id_glm_lpdf(
+                 std::span<const double>(reals), std::span<const double>(x),
+                 groups, p.subspan(0, numG), p.subspan(numG, numK),
+                 p[numG + numK]);
+         },
+         [&](Params p, std::size_t i) {
+             return math::normal_lpdf(reals[i], eta(p, i), p[numG + numK]);
+         }},
+        {"binomial_logit_glm_lpmf",
+         [&](Params p) {
+             return math::binomial_logit_glm_lpmf(
+                 std::span<const long>(successes),
+                 std::span<const long>(trials), std::span<const double>(x),
+                 groups, p.subspan(0, numG), p.subspan(numG, numK));
+         },
+         [&](Params p, std::size_t i) {
+             return math::binomial_logit_lpmf(successes[i], trials[i],
+                                              eta(p, i));
+         }},
+    };
+    for (const Glm& glm : glms) {
+        SCOPED_TRACE(glm.name);
+        ad::Tape tk;
+        tk.setPerObservation(true);
+        const auto lk = makeLeaves(tk, leafVals);
+        const ad::Var yk = glm.kernel(lk);
+        std::vector<double> gk;
+        tk.gradient(yk.id(), gk);
+
+        ad::Tape ts;
+        const auto ls = makeLeaves(ts, leafVals);
+        ad::Var ys = glm.term(ls, 0);
+        for (std::size_t i = 1; i < n; ++i)
+            ys += glm.term(ls, i);
+        std::vector<double> gs;
+        ts.gradient(ys.id(), gs);
+
+        EXPECT_EQ(tk.size(), ts.size());
+        EXPECT_EQ(tk.opCounts(), ts.opCounts());
+        EXPECT_LT(relErr(yk.value(), ys.value()), kValueRelTol);
+        for (std::size_t i = 0; i < leafVals.size(); ++i)
+            EXPECT_LT(relErr(gk[lk[i].id()], gs[ls[i].id()]), kGradRelTol)
+                << "leaf " << i;
     }
 }
 
