@@ -16,11 +16,11 @@
  * switched to per-observation mode (setPerObservation) has the kernels
  * record that scalar subgraph instead: the reference tape.
  *
- * The tape also carries an optional MemProbe. When attached, every node
- * push, edge-arena store, and adjoint read/write reports its real
- * address to the probe, which is how the archsim cache simulator
- * observes the genuine working set of an inference run (see DESIGN.md
- * §2).
+ * The arenas are readable (nodes, edges, wideSpans), and a gradient's
+ * memory traffic is a function of them and its adjoints:
+ * archsim::gradientTrace derives the trace the cache simulator replays
+ * from a recorded tape (see archsim/trace.hpp), so the gradient path
+ * carries no observer.
  */
 #pragma once
 
@@ -45,25 +45,6 @@ inline constexpr NodeId kNoParent = 0xffffffffu;
  * the index of its WideSpan rather than a parent id.
  */
 inline constexpr NodeId kWideNode = 0xfffffffeu;
-
-/**
- * Observer of memory traffic generated by tape operations. Implemented
- * by archsim::TraceCapture; null by default (zero-cost in the hot path
- * beyond one predictable branch).
- */
-class MemProbe
-{
-  public:
-    virtual ~MemProbe() = default;
-
-    /**
-     * Report one memory access.
-     * @param addr   real virtual address touched
-     * @param bytes  access width
-     * @param write  true for a store, false for a load
-     */
-    virtual void access(const void* addr, std::size_t bytes, bool write) = 0;
-};
 
 /** One elementary operation: two weighted parent edges. */
 struct Node
@@ -158,11 +139,14 @@ class Tape
     /** Number of nodes recorded since the last clear(). */
     std::size_t size() const { return nodes_.size(); }
 
-    /** Number of wide-node edges recorded since the last clear(). */
-    std::size_t edgeCount() const { return edges_.size(); }
+    /** Nodes recorded since the last clear(), in push order. */
+    std::span<const Node> nodes() const { return nodes_; }
 
-    /** Number of wide nodes recorded since the last clear(). */
-    std::size_t wideCount() const { return wideSpans_.size(); }
+    /** Wide-node edges recorded since the last clear(), in push order. */
+    std::span<const Edge> edges() const { return edges_; }
+
+    /** Wide-node spans; a wide node's parent[1] indexes this. */
+    std::span<const WideSpan> wideSpans() const { return wideSpans_; }
 
     /**
      * Record the per-observation reference tape: with this on, the
@@ -206,13 +190,7 @@ class Tape
      * @param output  node whose gradient is requested
      * @param out     resized to size(); out[i] is the adjoint of node i
      */
-    void gradient(NodeId output, std::vector<double>& out);
-
-    /** Attach (or detach with nullptr) a memory-traffic observer. */
-    void setProbe(MemProbe* probe) { probe_ = probe; }
-
-    /** Currently attached probe, or nullptr. */
-    MemProbe* probe() const { return probe_; }
+    void gradient(NodeId output, std::vector<double>& out) const;
 
   private:
     NodeId
@@ -222,8 +200,6 @@ class Tape
         const NodeId id = static_cast<NodeId>(nodes_.size());
         nodes_.push_back(Node{{w0, w1}, {p0, p1}});
         ++opCounts_[static_cast<std::size_t>(cls)];
-        if (probe_)
-            probe_->access(&nodes_[id], sizeof(Node), true);
         return id;
     }
 
@@ -231,7 +207,6 @@ class Tape
     std::vector<Edge> edges_;
     std::vector<WideSpan> wideSpans_;
     std::array<std::uint64_t, kNumOpClasses> opCounts_{};
-    MemProbe* probe_ = nullptr;
     bool perObservation_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "archsim/profiler.hpp"
 
-#include <memory>
-
 #include "samplers/dual_averaging.hpp"
 #include "samplers/nuts.hpp"
 #include "samplers/runner.hpp"
@@ -14,20 +12,10 @@ profileWorkload(const ppl::Model& model, int chains, TapeKind tape,
 {
     BAYES_CHECK(chains >= 1, "need at least one chain to profile");
     WorkloadProfile profile;
-
-    // All evaluators must be alive simultaneously so their arenas and
-    // data shadows occupy distinct address ranges, as real concurrent
-    // chains would.
-    std::vector<std::unique_ptr<ppl::Evaluator>> evals;
-    evals.reserve(chains);
-    for (int c = 0; c < chains; ++c) {
-        evals.push_back(std::make_unique<ppl::Evaluator>(model));
-        evals.back()->tape().setPerObservation(tape == TapeKind::Reference);
-    }
-
     Rng master(seed);
     for (int c = 0; c < chains; ++c) {
-        ppl::Evaluator& eval = *evals[c];
+        ppl::Evaluator eval(model);
+        eval.tape().setPerObservation(tape == TapeKind::Reference);
         Rng rng = master.fork();
 
         samplers::Hamiltonian ham(eval);
@@ -44,15 +32,12 @@ profileWorkload(const ppl::Model& model, int chains, TapeKind tape,
             nuts.setStepSize(da.stepSize());
         }
 
-        // Capture exactly one instrumented gradient evaluation.
-        TraceCapture capture;
-        eval.tape().setProbe(&capture);
         std::vector<double> grad;
         eval.logProbGrad(z.q, grad);
-        eval.tape().setProbe(nullptr);
 
         EvalProfile ep;
-        ep.trace = capture.trace();
+        ep.trace = gradientTrace(eval.tape(), eval.densityBegin(),
+                                 model.modeledDataBytes(), c);
         ep.tapeNodes = eval.lastTapeNodes();
         ep.opCounts = eval.tape().opCounts();
         ep.dim = eval.dim();

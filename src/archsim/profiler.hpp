@@ -1,12 +1,13 @@
 /**
  * @file
  * Workload profiling for the architecture model. profileWorkload runs a
- * short, real NUTS adaptation per chain (so the captured behavior is
- * post-warmup steady state), then records one instrumented gradient
- * evaluation per chain: its memory trace, tape size, and op-class mix.
- * Each chain owns a separate evaluator, so chains occupy disjoint
- * arenas — exactly the "every chain fetches data independently"
- * property behind the paper's multicore LLC contention.
+ * short, real NUTS adaptation per chain (so the profiled behavior is
+ * post-warmup steady state), then evaluates one gradient per chain and
+ * keeps its memory trace (derived from the tape, archsim/trace.hpp),
+ * tape size, and op-class mix. Each chain's trace is placed in its own
+ * arenas, so chains never share a line — exactly the "every chain
+ * fetches data independently" property behind the paper's multicore
+ * LLC contention.
  */
 #pragma once
 
@@ -56,11 +57,11 @@ enum class TapeKind
 };
 
 /**
- * Profile @p model with @p chains instrumented chains.
+ * Profile @p model with @p chains independently adapted chains.
  * @param tape         which gradient tape to characterize; there is no
  *                     default, because the two differ by an order of
  *                     magnitude in working set
- * @param warmupIters  adaptation iterations before capturing (enough to
+ * @param warmupIters  adaptation iterations before profiling (enough to
  *                     reach a representative step size / position)
  */
 WorkloadProfile profileWorkload(const ppl::Model& model, int chains,

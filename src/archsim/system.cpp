@@ -158,7 +158,8 @@ simulateSystem(const WorkloadProfile& profile, const RunWork& work,
 {
     const int chains = static_cast<int>(profile.chains.size());
     BAYES_CHECK(chains >= 1, "profile has no chains");
-    BAYES_CHECK(static_cast<int>(work.chainGradEvals.size()) == chains,
+    BAYES_CHECK(static_cast<int>(work.chainGradEvals.size()) == chains
+                    && static_cast<int>(work.chainIterations.size()) == chains,
                 "work/profile chain count mismatch");
     BAYES_CHECK(cores >= 1 && cores <= platform.cores,
                 "core count outside platform range");

@@ -1,15 +1,26 @@
 /**
  * @file
- * Memory-trace capture. TraceCapture implements the AD tape's MemProbe
- * interface: while attached, every tape node push, every reverse-sweep
- * adjoint access, and the evaluator's observed-data stream are recorded
- * as (address, size, is-write) events. One gradient evaluation's trace
- * is the repeating unit of a chain's memory behavior (each leapfrog
- * step replays the same pattern over the same arena), so replaying it
- * through the cache model reproduces a chain's steady-state traffic.
+ * The memory trace of one gradient evaluation, derived from its tape.
+ * The trace is a function of the recorded tape alone: the forward pass
+ * writes the nodes in push order (a wide node's edges just before the
+ * node) with the likelihood's pass over the observed data at the index
+ * where the density began, and the reverse sweep visits the nodes from
+ * the output down, skipping each node whose adjoint is zero. One
+ * gradient's trace is the repeating unit of a chain's memory behavior
+ * (each leapfrog step replays the same pattern over the same arenas),
+ * so replaying it through the cache model reproduces a chain's
+ * steady-state traffic.
+ *
+ * Placement is a model parameter, not something the allocator decides,
+ * so a trace (and every figure built on it) is a function of the seed.
+ * Each (chain, arena) pair starts at its own 64 GB-aligned base plus a
+ * fixed page colour: 0..63 pages of 4 KB, hashed from (chain, arena),
+ * because the scaled Broadwell LLC's 4096 sets of 64 B span 64 pages.
+ * Without the colour every arena would start in set 0.
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -17,55 +28,41 @@
 
 namespace bayes::archsim {
 
-/** One recorded memory access. */
+/** One memory access of a trace. */
 struct Access
 {
     std::uint64_t addr;
-    std::uint32_t bytes;
     bool write;
+
+    friend bool operator==(const Access&, const Access&) = default;
 };
 
-/** MemProbe that appends every access to a bounded in-memory trace. */
-class TraceCapture : public ad::MemProbe
+/** The five arenas a gradient evaluation touches. */
+enum class Arena
 {
-  public:
-    /** @param maxAccesses  hard cap to bound memory use */
-    explicit TraceCapture(std::size_t maxAccesses = 4'000'000)
-        : max_(maxAccesses)
-    {
-        trace_.reserve(4096);
-    }
-
-    void
-    access(const void* addr, std::size_t bytes, bool write) override
-    {
-        if (trace_.size() >= max_) {
-            truncated_ = true;
-            return;
-        }
-        trace_.push_back(
-            Access{reinterpret_cast<std::uint64_t>(addr),
-                   static_cast<std::uint32_t>(bytes), write});
-    }
-
-    /** Recorded accesses in program order. */
-    const std::vector<Access>& trace() const { return trace_; }
-
-    /** True when the cap was hit and events were dropped. */
-    bool truncated() const { return truncated_; }
-
-    /** Drop all recorded events. */
-    void
-    clear()
-    {
-        trace_.clear();
-        truncated_ = false;
-    }
-
-  private:
-    std::vector<Access> trace_;
-    std::size_t max_;
-    bool truncated_ = false;
+    Nodes,    ///< ad::Node per tape node
+    Edges,    ///< ad::Edge per wide-node edge
+    Spans,    ///< ad::WideSpan per wide node
+    Adjoints, ///< one double per tape node
+    Data,     ///< the observed data, read in 64 B lines
 };
+
+/** First byte of @p arena for chain @p chain (see the file comment). */
+std::uint64_t arenaBase(int chain, Arena arena);
+
+/**
+ * Derive the memory trace of the gradient evaluation recorded on
+ * @p tape, whose last node is the output (ppl::Evaluator::logProbGrad's
+ * `lp + logJ`). The reverse sweep's skip decisions come from the tape's
+ * own gradient of that node.
+ * @param densityBegin  tape index where the data pass happens
+ *                      (ppl::Evaluator::densityBegin)
+ * @param dataBytes     observed data read per gradient
+ *                      (ppl::Model::modeledDataBytes)
+ * @param chain         placement slot; distinct chains never share a line
+ */
+std::vector<Access> gradientTrace(const ad::Tape& tape,
+                                  std::size_t densityBegin,
+                                  std::size_t dataBytes, int chain);
 
 } // namespace bayes::archsim

@@ -36,8 +36,7 @@ constrainAll(const ParamLayout& layout, const std::vector<T>& u, T& logJ)
 } // namespace
 
 Evaluator::Evaluator(const Model& model)
-    : model_(&model), layout_(&model.layout()),
-      dataShadow_(model.modeledDataBytes(), 0)
+    : model_(&model), layout_(&model.layout())
 {
 }
 
@@ -76,7 +75,7 @@ Evaluator::logProbGrad(const std::vector<double>& q,
             u[i] = ad::leaf(tape_, q[i]);
         ad::Var logJ = 0.0;
         const std::vector<ad::Var> x = constrainAll(*layout_, u, logJ);
-        streamDataShadow();
+        densityBegin_ = tape_.size();
         const ParamView<ad::Var> view(*layout_, x);
         lpVar = model_->logProb(view) + logJ;
     } catch (const Error&) {
@@ -84,7 +83,7 @@ Evaluator::logProbGrad(const std::vector<double>& q,
     }
     lastTapeNodes_ = tape_.size();
     reserveNodes_ = lastTapeNodes_;
-    reserveEdges_ = tape_.edgeCount();
+    reserveEdges_ = tape_.edges().size();
 
     const double lp = lpVar.value();
     grad.assign(dim(), 0.0);
@@ -134,19 +133,6 @@ Evaluator::constrain(const std::vector<double>& q) const
     BAYES_CHECK(q.size() == dim(), "point has wrong dimension");
     double logJ = 0.0;
     return constrainAll(*layout_, q, logJ);
-}
-
-void
-Evaluator::streamDataShadow()
-{
-    ad::MemProbe* probe = tape_.probe();
-    if (!probe || dataShadow_.empty())
-        return;
-    // One sequential pass over the observed data, touched at
-    // cache-line granularity.
-    constexpr std::size_t kLine = 64;
-    for (std::size_t off = 0; off < dataShadow_.size(); off += kLine)
-        probe->access(dataShadow_.data() + off, kLine, false);
 }
 
 } // namespace bayes::ppl

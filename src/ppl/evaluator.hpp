@@ -13,10 +13,11 @@
  * K points and evaluate its lanes one at a time through the
  * single-point calls.
  *
- * For architecture tracing, the evaluator also owns a "data shadow"
- * buffer of modeledDataBytes() and, when a memory probe is attached to
- * the tape, streams sequential reads over it once per gradient —
- * modeling the likelihood's pass over the observed data.
+ * For architecture tracing, logProbGrad records one index: where the
+ * model's density began on the tape (densityBegin), after the leaves
+ * and transforms. archsim places the likelihood's pass over the
+ * observed data there when it derives the gradient's memory trace from
+ * the tape (archsim/trace.hpp).
  */
 #pragma once
 
@@ -80,7 +81,7 @@ class Evaluator
     std::vector<double> constrain(const std::vector<double>& q) const;
 
     /**
-     * AD tape: attach probes, inspect its size, or switch it to the
+     * AD tape: inspect its arenas and size, or switch it to the
      * per-observation reference tape (ad::Tape::setPerObservation).
      */
     ad::Tape& tape() { return tape_; }
@@ -91,16 +92,21 @@ class Evaluator
     /** Tape nodes used by the most recent gradient evaluation. */
     std::size_t lastTapeNodes() const { return lastTapeNodes_; }
 
-  private:
-    void streamDataShadow();
+    /**
+     * Tape index where the most recent gradient evaluation's model
+     * density began: the leaves and transforms occupy the nodes before
+     * it.
+     */
+    std::size_t densityBegin() const { return densityBegin_; }
 
+  private:
     const Model* model_;
     const ParamLayout* layout_;
     ad::Tape tape_;
     std::vector<double> adjoints_;
-    std::vector<std::uint8_t> dataShadow_;
     std::uint64_t numGradEvals_ = 0;
     std::size_t lastTapeNodes_ = 0;
+    std::size_t densityBegin_ = 0;
     std::size_t reserveNodes_ = 0; ///< tape pre-size hint
     std::size_t reserveEdges_ = 0; ///< edge pre-size hint
 };

@@ -2,7 +2,7 @@
  * @file
  * Reverse-mode autodiff tests: every operator's gradient is validated
  * against central finite differences, plus tape mechanics (arena reuse,
- * op-class accounting, memory probing, constant folding).
+ * op-class accounting, constant folding).
  */
 #include <gtest/gtest.h>
 
@@ -187,44 +187,6 @@ TEST(Ad, GradientOfUnknownNodeThrows)
     Tape tape;
     std::vector<double> adj;
     EXPECT_THROW(tape.gradient(0, adj), Error);
-}
-
-/** Probe counting accesses for the trace-capture contract. */
-class CountingProbe : public MemProbe
-{
-  public:
-    void
-    access(const void* addr, std::size_t bytes, bool write) override
-    {
-        ++count;
-        lastAddr = addr;
-        lastBytes = bytes;
-        writes += write;
-    }
-
-    int count = 0;
-    int writes = 0;
-    const void* lastAddr = nullptr;
-    std::size_t lastBytes = 0;
-};
-
-TEST(Ad, ProbeSeesNodePushesAndGradientSweep)
-{
-    Tape tape;
-    CountingProbe probe;
-    tape.setProbe(&probe);
-    Var x = leaf(tape, 1.0);
-    Var y = exp(x);
-    const int pushes = probe.count;
-    EXPECT_EQ(pushes, 2); // two node writes
-    EXPECT_EQ(probe.writes, 2);
-    std::vector<double> adj;
-    tape.gradient(y.id(), adj);
-    EXPECT_GT(probe.count, pushes); // sweep generates more traffic
-    tape.setProbe(nullptr);
-    const int after = probe.count;
-    (void)leaf(tape, 2.0);
-    EXPECT_EQ(probe.count, after); // detached probe sees nothing
 }
 
 TEST(Ad, MultivariateGradientMatchesFiniteDifference)

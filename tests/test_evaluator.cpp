@@ -1,14 +1,15 @@
 /**
  * @file
  * Evaluator tests: unconstrained log density with Jacobian, gradient
- * consistency, constrained output, counters, data-shadow streaming, the
- * infeasible-point (-inf) recovery path, and a gradient path that
- * writes no metric.
+ * consistency, constrained output, counters, the recorded density
+ * start that places the traced data pass, the infeasible-point (-inf)
+ * recovery path, and a gradient path that writes no metric.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "archsim/trace.hpp"
 #include "math/distributions.hpp"
 #include "obs/registry.hpp"
 #include "ppl/evaluator.hpp"
@@ -172,31 +173,38 @@ TEST(Evaluator, InfeasibleModelBecomesMinusInfinity)
     EXPECT_DOUBLE_EQ(grad[0], 0.0);
 }
 
-/** Probe that records total bytes of read traffic. */
-class ByteProbe : public ad::MemProbe
+TEST(Evaluator, DensityBeginPlacesTheDataPass)
 {
-  public:
-    void
-    access(const void*, std::size_t bytes, bool write) override
-    {
-        if (!write)
-            readBytes += bytes;
-    }
-    std::size_t readBytes = 0;
-};
-
-TEST(Evaluator, StreamsDataShadowWhenProbed)
-{
+    // The traced data pass reads ceil(modeledDataBytes / 64) lines,
+    // after the transform nodes' writes and before the density's first
+    // node.
     ToyModel model;
+    model.data_.assign(20, 0.5); // 160 bytes: three lines
     Evaluator eval(model);
-    ByteProbe probe;
-    eval.tape().setProbe(&probe);
     std::vector<double> grad;
-    eval.logProbGrad({0.0, 0.0}, grad);
-    eval.tape().setProbe(nullptr);
-    // At least one full pass over the modeled data (streamed in 64B
-    // lines, so rounded up) must appear as read traffic.
-    EXPECT_GE(probe.readBytes, model.modeledDataBytes());
+    eval.logProbGrad({0.3, -0.2}, grad);
+    const std::size_t begin = eval.densityBegin();
+    EXPECT_GT(begin, eval.dim()); // the leaves, then sigma's transform
+    EXPECT_LT(begin, eval.lastTapeNodes());
+
+    const auto trace = archsim::gradientTrace(
+        eval.tape(), begin, model.modeledDataBytes(), 0);
+    const std::uint64_t nodes =
+        archsim::arenaBase(0, archsim::Arena::Nodes);
+    const std::uint64_t data = archsim::arenaBase(0, archsim::Arena::Data);
+    std::size_t dataReads = 0;
+    for (const archsim::Access& a : trace)
+        dataReads += a.addr - data < (1u << 20); // arenas lie 64 GB apart
+    EXPECT_EQ(dataReads, 3u);
+    ASSERT_GT(trace.size(), begin + 3);
+    for (std::size_t i = 0; i < begin; ++i)
+        EXPECT_EQ(trace[i], (archsim::Access{nodes + i * sizeof(ad::Node),
+                                             true}));
+    for (std::size_t line = 0; line < 3; ++line)
+        EXPECT_EQ(trace[begin + line],
+                  (archsim::Access{data + 64 * line, false}));
+    EXPECT_EQ(trace[begin + 3],
+              (archsim::Access{nodes + begin * sizeof(ad::Node), true}));
 }
 
 TEST(Evaluator, GradientEvaluationWritesNoMetric)

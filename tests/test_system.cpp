@@ -25,9 +25,9 @@ syntheticChain(std::uint64_t base, std::size_t bytes)
     p.dim = 8;
     p.dataBytes = 0;
     for (std::uint64_t off = 0; off < bytes; off += 64)
-        p.trace.push_back(Access{base + off, 64, true});
+        p.trace.push_back(Access{base + off, true});
     for (std::uint64_t off = bytes; off >= 64; off -= 64)
-        p.trace.push_back(Access{base + off - 64, 64, false});
+        p.trace.push_back(Access{base + off - 64, false});
     return p;
 }
 
@@ -163,6 +163,8 @@ TEST(System, ValidatesArguments)
     EXPECT_THROW(simulateSystem(profile, work, platform, 99), Error);
     EXPECT_THROW(
         simulateSystem(profile, uniformWork(3, 10), platform, 2), Error);
+    EXPECT_THROW(simulateSystem(profile, RunWork{{10, 10}, {1}}, platform, 2),
+                 Error);
 }
 
 } // namespace

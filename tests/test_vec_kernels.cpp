@@ -640,8 +640,8 @@ TEST_P(WideNodeSweep, AdjointsScatterThroughTheEdgeArena)
     tape.gradient(y.id(), grad);
     for (std::size_t k = 0; k < numEdges; ++k)
         EXPECT_DOUBLE_EQ(grad[leaves[k].id()], 2.0 * weights[k]) << k;
-    EXPECT_EQ(tape.edgeCount(), numEdges);
-    EXPECT_EQ(tape.wideCount(), 1u);
+    EXPECT_EQ(tape.edges().size(), numEdges);
+    EXPECT_EQ(tape.wideSpans().size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(EdgeCounts, WideNodeSweep,
